@@ -8,21 +8,18 @@ quantities are the wall-clock budgets stated alongside.
 """
 
 import json
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .clifford import (
-    CliffordElement,
     GramLattice,
     cocharacter_conjugation_check,
     filtration_type2,
     filtration_type3,
     graded_splitting,
 )
-from .errors import ComputationError
 from .fields import FiniteField
 from .formal_groups import (
     WeierstrassModel,
@@ -41,13 +38,7 @@ from .monodromy import (
     unipotent_index,
     unipotent_subgroup,
 )
-from .polynomials import (
-    CoefficientSeries,
-    newton_polygon,
-    puiseux_roots,
-    root_valuations,
-    weierstrass_prepare,
-)
+from .polynomials import CoefficientSeries
 from .reports import emit_report
 from .scenarios import run_scenario
 from .series import PuiseuxSeries
@@ -339,146 +330,6 @@ def criterion_classification_golden():
     )
 
 
-# -- 9. property suites ----------------------------------------------------------------
-
-
-def _random_series(rng, field, max_terms=4, trunc=None):
-    terms = {}
-    for _ in range(rng.randrange(max_terms + 1)):
-        e = Fraction(rng.randrange(0, 8), rng.choice((1, 1, 2)))
-        c = rng.randrange(field.p)
-        if c:
-            terms[e] = c
-    try:
-        return PuiseuxSeries.from_terms(field, terms, trunc=trunc)
-    except ComputationError:
-        return PuiseuxSeries.zero(field)
-
-
-def _suite_series_ring(rng):
-    fields = (FiniteField(2), FiniteField(3), FiniteField(5))
-    for _ in range(200):
-        field = rng.choice(fields)
-        a = _random_series(rng, field, trunc=rng.choice((None, 10)))
-        b = _random_series(rng, field)
-        c = _random_series(rng, field)
-        assert ((a * b) * c).agrees_with(a * (b * c))
-        assert (a * b).agrees_with(b * a)
-        assert (a * (b + c)).agrees_with(a * b + a * c)
-
-
-def _suite_preparation(rng):
-    fields = (FiniteField(2), FiniteField(3), FiniteField(5))
-    for _ in range(200):
-        field = rng.choice(fields)
-        d = rng.randrange(1, 4)
-        x_top = d + rng.randrange(1, 4)
-        coeffs = []
-        for i in range(x_top + 1):
-            terms = {}
-            lo = 0 if i >= d else 1
-            for e in range(lo, 5):
-                c = rng.randrange(field.p)
-                if c:
-                    terms[e] = c
-            if i == d and 0 not in terms:
-                terms[0] = 1
-            coeffs.append(PuiseuxSeries.from_terms(field, terms))
-        f = CoefficientSeries(field, coeffs, x_trunc=x_top)
-        prep = weierstrass_prepare(f, precision=8)
-        assert prep.degree == d
-        assert (prep.unit * prep.distinguished).agrees_with(f)
-
-
-def _suite_formal_add(rng):
-    field = FiniteField(2)
-    model = WeierstrassModel.from_ints(field, a1=_t(field), a3=1)
-    fgl = ec_formal_group(model, x_trunc=8)
-    cache = {m: fgl.mult_by_int(m) for m in range(13)}
-    for _ in range(200):
-        m = rng.randrange(0, 7)
-        k = rng.randrange(0, 7)
-        assert fgl.formal_sum(cache[m], cache[k]).agrees_with(cache[m + k])
-
-
-def _suite_polygon_hull(rng):
-    for _ in range(200):
-        k = rng.randrange(1, 9)
-        idx = rng.sample(range(12), k)
-        pts = [
-            (i, Fraction(rng.randrange(-6, 12), rng.choice((1, 2, 3)))) for i in idx
-        ]
-        polygon = newton_polygon(pts)
-        assert polygon.verify()
-        assert sum(s.length for s in polygon.segments) == max(idx) - min(idx)
-
-
-def _suite_oracle_roots(rng):
-    fields = (FiniteField(2), FiniteField(3), FiniteField(5))
-    for _ in range(200):
-        field = rng.choice(fields)
-        deg = rng.randrange(1, 4)
-        exps = sorted(rng.randrange(0, 5) for _ in range(deg))
-        poly = CoefficientSeries(field, [PuiseuxSeries.one(field)])
-        for a in exps:
-            u = rng.randrange(1, field.p)
-            root_term = _t(field, a, u).scale(field.p - 1)
-            poly = poly * CoefficientSeries(field, [root_term, PuiseuxSeries.one(field)])
-        pts = [(i, c.valuation()) for i, c in enumerate(poly.coeffs) if c.known_nonzero]
-        expected = {}
-        for a in exps:
-            expected[Fraction(a)] = expected.get(Fraction(a), 0) + 1
-        polygon_multiset = {}
-        for v, m in root_valuations(newton_polygon(pts)):
-            polygon_multiset[v] = polygon_multiset.get(v, 0) + m
-        assert polygon_multiset == expected
-        got = {}
-        for r in puiseux_roots(poly, target_precision=8):
-            got[r.valuation] = got.get(r.valuation, 0) + r.multiplicity
-        assert got == expected
-
-
-def _suite_clifford_associativity(rng):
-    lattices = [GramLattice.one_hyperbolic(1), GramLattice.split(2), GramLattice.split(3)]
-    for _ in range(200):
-        lattice = rng.choice(lattices)
-        monos = list(lattice.monomials())
-        elems = []
-        for _ in range(3):
-            terms = {}
-            for _ in range(3):
-                terms[rng.choice(monos)] = Fraction(rng.randrange(-3, 4))
-            elems.append(CliffordElement(lattice, terms))
-        a, b, c = elems
-        assert (a * b) * c == a * (b * c)
-
-
-_PROPERTY_SUITES = (
-    ("series-ring-axioms", _suite_series_ring),
-    ("preparation-identity", _suite_preparation),
-    ("formal-add-compatibility", _suite_formal_add),
-    ("polygon-vs-naive-hull", _suite_polygon_hull),
-    ("oracle-vs-polygon-roots", _suite_oracle_roots),
-    ("clifford-associativity", _suite_clifford_associativity),
-)
-
-
-def criterion_property_suites():
-    start = time.perf_counter()
-    for name, suite in _PROPERTY_SUITES:
-        rng = random.Random(hash(name) % (2 ** 31))
-        try:
-            suite(rng)
-        except AssertionError as exc:
-            return _result(
-                "property-suites", start, False, "%s failed: %s" % (name, exc)
-            )
-    return _result(
-        "property-suites", start, True,
-        "%d suites, 200 randomized cases each, zero failures" % len(_PROPERTY_SUITES),
-    )
-
-
 CRITERIA = (
     criterion_igusa_ladder,
     criterion_elliptic_end_to_end,
@@ -488,7 +339,6 @@ CRITERIA = (
     criterion_cocharacter_table,
     criterion_galois_block_group,
     criterion_classification_golden,
-    criterion_property_suites,
 )
 
 

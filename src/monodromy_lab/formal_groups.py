@@ -45,6 +45,8 @@ from .polynomials import (
     newton_polygon,
     puiseux_roots,
     root_valuations,
+    truncated_product,
+    truncated_unit_inverse,
     weierstrass_prepare,
 )
 from .series import INFINITY, PuiseuxSeries
@@ -53,8 +55,7 @@ _ASSOCIATIVITY_CHECK_CAP = 6
 
 
 # ---------------------------------------------------------------------------
-# multivariate series helpers (dicts keyed by exponent tuples, total-degree
-# truncated, PuiseuxSeries values)
+# map arithmetic on top of the truncated-product kernel
 
 
 def _madd(a, b):
@@ -73,40 +74,8 @@ def _mscale(a, s):
     return out
 
 
-def _mmul(a, b, bound):
-    out = {}
-    for ka, va in a.items():
-        da = sum(ka)
-        for kb, vb in b.items():
-            if da + sum(kb) > bound:
-                continue
-            k = tuple(x + y for x, y in zip(ka, kb))
-            prod = va * vb
-            if k in out:
-                out[k] = out[k] + prod
-            else:
-                out[k] = prod
-    return {k: v for k, v in out.items() if not v.is_exact_zero}
-
-
 def _mone(field, nvars):
     return {(0,) * nvars: PuiseuxSeries.one(field)}
-
-
-def _minvert_unit(field, a, bound, nvars):
-    """Invert a series with constant term 1 by the geometric series."""
-    one = _mone(field, nvars)
-    eps = dict(a)
-    eps.pop((0,) * nvars)
-    eps = _mscale(eps, field.element(-1))
-    out = dict(one)
-    power = dict(one)
-    for _ in range(bound):
-        power = _mmul(power, eps, bound)
-        if not power:
-            break
-        out = _madd(out, power)
-    return out
 
 
 def _msubst(field, table, bound, args, nvars):
@@ -116,7 +85,7 @@ def _msubst(field, table, bound, args, nvars):
     def power(k, i):
         cache = pow_cache[k]
         if i not in cache:
-            cache[i] = _mmul(power(k, i - 1), args[k], bound)
+            cache[i] = truncated_product(power(k, i - 1), args[k], bound)
         return cache[i]
 
     out = {}
@@ -126,7 +95,7 @@ def _msubst(field, table, bound, args, nvars):
         term = _mone(field, nvars)
         for k, i in enumerate(exps):
             if i:
-                term = _mmul(term, power(k, i), bound)
+                term = truncated_product(term, power(k, i), bound)
         out = _madd(out, _mscale(term, coef))
     return out
 
@@ -266,12 +235,7 @@ class FormalGroupLaw:
             raise PrecisionError(
                 "argument constant term only known to O(t^%s)" % c0.trunc
             )
-        top = len(f.coeffs) - 1 if f.is_polynomial else f.x_trunc
-        return {
-            (i,): f.coefficient(i)
-            for i in range(1, top + 1)
-            if not f.coefficient(i).is_exact_zero
-        }
+        return f.terms()
 
     def _out_trunc(self, *args):
         out = self.x_trunc
@@ -286,10 +250,7 @@ class FormalGroupLaw:
         res = _msubst(
             self.field, self.table, bound, (self._as_uni(f), self._as_uni(g)), 1
         )
-        coeffs = [PuiseuxSeries.zero(self.field)] * (bound + 1)
-        for (i,), v in res.items():
-            coeffs[i] = v
-        return CoefficientSeries(self.field, coeffs, x_trunc=bound)
+        return CoefficientSeries.from_terms(self.field, res, bound)
 
     def identity_series(self):
         return CoefficientSeries(
@@ -317,18 +278,10 @@ class FormalGroupLaw:
         return self._inverse
 
     def compose(self, outer, inner):
-        """outer(inner(x)) for series of positive x-order."""
+        """outer(inner(x)) for an inner series of positive x-order."""
         bound = self._out_trunc(outer, inner)
-        table = {
-            (i,): outer.coefficient(i)
-            for i in range(1, (len(outer.coeffs) if outer.is_polynomial else outer.x_trunc + 1))
-            if not outer.coefficient(i).is_exact_zero
-        }
-        res = _msubst(self.field, table, bound, (self._as_uni(inner),), 1)
-        coeffs = [PuiseuxSeries.zero(self.field)] * (bound + 1)
-        for (i,), v in res.items():
-            coeffs[i] = v
-        return CoefficientSeries(self.field, coeffs, x_trunc=bound)
+        res = _msubst(self.field, outer.terms(), bound, (self._as_uni(inner),), 1)
+        return CoefficientSeries.from_terms(self.field, res, bound)
 
     def mult_by_int(self, m):
         """[m](x), by doubling plus one formal sum per odd step."""
@@ -373,104 +326,69 @@ def ec_formal_group(model, x_trunc=None, associativity_order=_ASSOCIATIVITY_CHEC
         )
 
     a1, a2, a3, a4, a6 = model.coefficients()
-    zero = PuiseuxSeries.zero(field)
     one = PuiseuxSeries.one(field)
 
-    # w(z) = z^3 + ... solving the (z, w) curve equation by iteration
+    # w(z) = z^3 + ... solving the (z, w) curve equation by iteration:
+    # w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3
     w_bound = X + 2
-    w = [zero] * (w_bound + 1)
+    c1 = {(1,): a1, (2,): a2}
+    c2 = {(0,): a3, (1,): a4}
+    c3 = {(0,): a6}
+    w = {}
     for _ in range(w_bound):
-        # w_next = z^3 + a1 z w + a2 z^2 w + a3 w^2 + a4 z w^2 + a6 w^3
-        w2 = _uni_mul(field, w, w, w_bound)
-        w3 = _uni_mul(field, w2, w, w_bound)
-        nxt = [zero] * (w_bound + 1)
-        nxt[3] = one
-        for k in range(w_bound + 1):
-            acc = nxt[k]
-            if k >= 1:
-                acc = acc + a1 * w[k - 1] + a4 * w2[k - 1]
-            if k >= 2:
-                acc = acc + a2 * w[k - 2]
-            acc = acc + a3 * w2[k] + a6 * w3[k]
-            nxt[k] = acc
+        w2 = truncated_product(w, w, w_bound)
+        w3 = truncated_product(w2, w, w_bound)
+        nxt = {(3,): one}
+        for c, power in ((c1, w), (c2, w2), (c3, w3)):
+            nxt = _madd(nxt, truncated_product(c, power, w_bound))
         if nxt == w:
             break
         w = nxt
 
     # lambda(z1, z2) = (w(z2) - w(z1)) / (z2 - z1), nu = w(z1) - lambda z1
     lam = {}
-    for n in range(3, w_bound + 1):
-        wn = w[n]
-        if wn.is_exact_zero:
-            continue
+    for (n,), wn in w.items():
         for a in range(n):
             k = (a, n - 1 - a)
             lam[k] = lam[k] + wn if k in lam else wn
-    w1 = {(n, 0): w[n] for n in range(3, w_bound + 1) if not w[n].is_exact_zero}
+    w1 = {(n, 0): wn for (n,), wn in w.items()}
     z1 = {(1, 0): one}
     z2 = {(0, 1): one}
     bound = X
-    nu = _madd(w1, _mscale(_mmul(lam, z1, bound + 1), field.element(-1)))
-    lam_nu = _mmul(lam, nu, bound)
-    lam2 = _mmul(lam, lam, bound)
+    nu = _madd(w1, _mscale(truncated_product(lam, z1, bound + 1), field.element(-1)))
+    lam_nu = truncated_product(lam, nu, bound)
+    lam2 = truncated_product(lam, lam, bound)
     big_a = _mone(field, 2)
-    for coef, term in ((a2, lam), (a4, lam2), (a6, _mmul(lam2, lam, bound))):
+    for coef, term in ((a2, lam), (a4, lam2), (a6, truncated_product(lam2, lam, bound))):
         big_a = _madd(big_a, _mscale(term, coef))
     big_b = _madd(
         _madd(_mscale(lam, a1), _mscale(lam2, a3)),
         _madd(
             _mscale(nu, a2),
-            _madd(_mscale(lam_nu, a4.scale(2)), _mscale(_mmul(lam2, nu, bound), a6.scale(3))),
+            _madd(
+                _mscale(lam_nu, a4.scale(2)),
+                _mscale(truncated_product(lam2, nu, bound), a6.scale(3)),
+            ),
         ),
     )
     z3 = _madd(
         _mscale(_madd(z1, z2), field.element(-1)),
-        _mscale(_mmul(big_b, _minvert_unit(field, big_a, bound, 2), bound), field.element(-1)),
+        _mscale(
+            truncated_product(big_b, truncated_unit_inverse(big_a, bound), bound),
+            field.element(-1),
+        ),
     )
 
-    # formal negation i(z) = z * (-1 + a1 z + a3 w(z))^{-1}
-    neg_den = [(-one)] + [zero] * X
-    if not a1.is_exact_zero:
-        neg_den[1] = a1
-    for n in range(3, X + 1):
-        neg_den[n] = neg_den[n] + a3 * w[n]
-    inv_table = _uni_invert_unit(field, [(-c) for c in neg_den], X)  # (1 - a1 z - a3 w)^{-1}
-    neg = {}
-    for n, c in enumerate(inv_table):
-        if not c.is_exact_zero and n + 1 <= X:
-            neg[(n + 1,)] = -c
+    # formal negation i(z) = -z * (1 - a1 z - a3 w(z))^{-1}
+    unit = _madd(
+        _mone(field, 1), _mscale(_madd({(1,): a1}, _mscale(w, a3)), field.element(-1))
+    )
+    neg = truncated_product({(1,): -one}, truncated_unit_inverse(unit, X - 1), X)
 
     table = _msubst(field, neg, X, (z3,), 2)
     return FormalGroupLaw(
         field, table, X, check=True, associativity_order=associativity_order
     )
-
-
-def _uni_mul(field, a, b, bound):
-    out = [PuiseuxSeries.zero(field)] * (bound + 1)
-    for i, x in enumerate(a):
-        if x.is_exact_zero:
-            continue
-        for j, y in enumerate(b):
-            if i + j > bound:
-                break
-            if not y.is_exact_zero:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _uni_invert_unit(field, a, bound):
-    """Inverse of a univariate series with unit constant term."""
-    c0 = a[0]
-    inv0 = PuiseuxSeries.one(field) / c0
-    out = [inv0] + [PuiseuxSeries.zero(field)] * bound
-    for k in range(1, bound + 1):
-        acc = PuiseuxSeries.zero(field)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if not a[j].is_exact_zero and not out[k - j].is_exact_zero:
-                acc = acc + a[j] * out[k - j]
-        out[k] = -(inv0 * acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

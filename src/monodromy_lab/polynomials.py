@@ -1,7 +1,12 @@
 """Polynomials and power series in x over rings of truncated Puiseux series.
 
-Three tools live here:
+The tools that live here:
 
+* ``truncated_product`` / ``truncated_unit_inverse`` -- the one kernel for
+  truncated x-series arithmetic: sparse maps from exponent tuples to
+  ``PuiseuxSeries``, cut at a total-degree bound.  ``CoefficientSeries``
+  multiplies through it (1-tuple keys) and so does the bivariate
+  formal-group build;
 * ``weierstrass_prepare`` -- factor a power series f(x) over R = F_q[[t]]
   (or a ramified extension) as unit * monic distinguished polynomial, by
   slicewise successive approximation in the t-direction;
@@ -26,6 +31,50 @@ from .series import DEFAULT_TRUNCATION, INFINITY, PuiseuxSeries
 
 _RESIDUE_SEARCH_LIMIT = 1 << 16
 _MAX_EXPANSION_DEPTH = 512
+
+
+# ---------------------------------------------------------------------------
+# multivariate series helpers (dicts keyed by exponent tuples, total-degree
+# truncated, PuiseuxSeries values)
+
+
+def truncated_product(a, b, bound):
+    """The product of two exponent-tuple maps, cut above total degree ``bound``."""
+    b_items = [(kb, sum(kb), vb) for kb, vb in b.items()]
+    out = {}
+    for ka, va in a.items():
+        room = bound - sum(ka)
+        for kb, db, vb in b_items:
+            if db > room:
+                continue
+            k = tuple(x + y for x, y in zip(ka, kb))
+            prod = va * vb
+            out[k] = out[k] + prod if k in out else prod
+    return {k: v for k, v in out.items() if not v.is_exact_zero}
+
+
+def truncated_unit_inverse(a, bound):
+    """The inverse of an exponent-tuple map with constant term exactly 1.
+
+    Solved degree by degree: the homogeneous part of total degree d is minus
+    the sum of (part j of ``a``) * (part d - j of the inverse), j = 1..d.
+    """
+    unit = next((k for k in a if not any(k)), None)
+    if unit is None or a[unit] != PuiseuxSeries.one(a[unit].field):
+        raise ComputationError("unit inverse needs a constant term exactly 1")
+    parts = [{} for _ in range(bound + 1)]
+    for k, v in a.items():
+        d = sum(k)
+        if 0 < d <= bound:
+            parts[d][k] = v
+    layers = [{unit: a[unit]}]
+    for d in range(1, bound + 1):
+        acc = {}
+        for j in range(1, d + 1):
+            for k, v in truncated_product(parts[j], layers[d - j], d).items():
+                acc[k] = acc[k] + v if k in acc else v
+        layers.append({k: -v for k, v in acc.items() if not v.is_exact_zero})
+    return {k: v for layer in layers for k, v in layer.items()}
 
 
 class CoefficientSeries:
@@ -76,6 +125,19 @@ class CoefficientSeries:
             return PuiseuxSeries.zero(self.field)
         raise PrecisionError("x-coefficient %d beyond truncation %d" % (i, self.x_trunc))
 
+    @classmethod
+    def from_terms(cls, field, terms, x_trunc=None):
+        """Build from a map {(i,): c_i}, the inverse of ``terms``."""
+        top = x_trunc if x_trunc is not None else max((i for (i,) in terms), default=0)
+        coeffs = [PuiseuxSeries.zero(field)] * (top + 1)
+        for (i,), c in terms.items():
+            coeffs[i] = c
+        return cls(field, coeffs, x_trunc)
+
+    def terms(self):
+        """The map {(i,): c_i} of the coefficients that are not exactly zero."""
+        return {(i,): c for i, c in enumerate(self.coeffs) if not c.is_exact_zero}
+
     def x_order_lower_bound(self):
         """Least degree whose coefficient is not exactly zero (INFINITY if none)."""
         for i, c in enumerate(self.coeffs):
@@ -121,15 +183,8 @@ class CoefficientSeries:
                 bounds.append(other.x_trunc + (0 if sb is INFINITY else sb))
             xt = min(bounds)
             top = xt
-        out = [PuiseuxSeries.zero(self.field) for _ in range(top + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_exact_zero or i + j > top:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return CoefficientSeries(self.field, out, xt)
+        prod = truncated_product(self.terms(), other.terms(), top)
+        return CoefficientSeries.from_terms(self.field, prod, xt)
 
     def agrees_with(self, other, below=None):
         """Coefficientwise agreement up to the shared x- and t-truncations."""

@@ -89,6 +89,28 @@ def test_formal_sum_rejects_nonpositive_order(igusa_curve):
         igusa_curve.formal_sum(const, igusa_curve.identity_series())
 
 
+def test_truncated_model_agrees_with_exact_model(igusa_curve):
+    # a1 = t + O(t^12): every coefficient must agree with the exact model's
+    # below its own truncation, which integrality keeps at >= 12
+    model = WeierstrassModel.from_ints(F2, a1=t(F2).truncate(12), a3=1)
+    fgl = ec_formal_group(model)
+    assert fgl.x_trunc == igusa_curve.x_trunc
+    assert any(not v.is_exact for v in fgl.table.values())
+    for i, j in set(fgl.table) | set(igusa_curve.table):
+        got = fgl.coefficient(i, j)
+        assert got.is_exact or got.trunc >= 12, (i, j, got)
+        assert got.agrees_with(igusa_curve.coefficient(i, j)), (i, j, got)
+
+
+def test_compose_keeps_the_outer_constant_term():
+    add = FormalGroupLaw.additive(F3, 6)
+    x = add.identity_series()
+    one_plus_x = CoefficientSeries(F3, [PuiseuxSeries.one(F3), PuiseuxSeries.one(F3)])
+    composed = add.compose(one_plus_x, x)
+    assert composed.agrees_with(one_plus_x)
+    assert composed.coefficient(0).agrees_with(PuiseuxSeries.one(F3))
+
+
 def test_noncommutative_table_rejected():
     one = PuiseuxSeries.one(F2)
     with pytest.raises(ComputationError):

@@ -15,6 +15,8 @@ from monodromy_lab.polynomials import (
     newton_polygon,
     puiseux_roots,
     root_valuations,
+    truncated_product,
+    truncated_unit_inverse,
     weierstrass_prepare,
 )
 
@@ -33,6 +35,56 @@ def one(field):
 
 def zero(field):
     return PuiseuxSeries.zero(field)
+
+
+# -- truncated-product kernel -----------------------------------------------
+
+
+def test_unit_inverse_with_ramified_coefficients():
+    half = t(F3, Fraction(1, 2))
+    unit = {
+        (0, 0): one(F3),
+        (1, 0): half,
+        (0, 1): half + t(F3, Fraction(3, 2), 2),
+        (2, 0): -half,
+        (1, 1): t(F3).truncate(5),
+    }
+    inv = truncated_unit_inverse(unit, 6)
+    assert max(v.n_ram for v in inv.values()) == 2
+    assert max(sum(k) for k in inv) == 6
+    prod = truncated_product(unit, inv, 6)
+    assert all(sum(k) <= 6 for k in prod)
+    assert prod[(0, 0)].agrees_with(one(F3))
+    for k, v in prod.items():
+        if k != (0, 0):
+            assert not v.known_nonzero, (k, v)
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [PuiseuxSeries.constant(F3, 2), one(F3).truncate(4), one(F3) + t(F3), None],
+    ids=["two", "one-at-precision", "one-plus-t", "missing"],
+)
+def test_unit_inverse_refuses_constant_other_than_one(constant):
+    unit = {(1,): t(F3)}
+    if constant is not None:
+        unit[(0,)] = constant
+    with pytest.raises(ComputationError):
+        truncated_unit_inverse(unit, 4)
+
+
+def test_product_x_truncation_rule():
+    # x_trunc = min(X_a + ord b, X_b + ord a), an exact operand counting as X = inf
+    a = CoefficientSeries(F3, [zero(F3), one(F3), t(F3)], x_trunc=4)
+    b = CoefficientSeries(F3, [zero(F3), zero(F3), one(F3), t(F3)])
+    c = CoefficientSeries(F3, [zero(F3), zero(F3), one(F3)], x_trunc=3)
+    for prod in (a * b, b * a):
+        assert prod.x_trunc == 4 + 2
+        assert len(prod.coeffs) == 7
+        assert prod.coefficient(3).agrees_with(one(F3))
+        assert prod.coefficient(5).agrees_with(t(F3, 2))
+    assert (a * c).x_trunc == (c * a).x_trunc == min(4 + 2, 3 + 1)
+    assert (b * b).x_trunc is None and (b * b).degree() == 6
 
 
 # -- Newton polygons ---------------------------------------------------------

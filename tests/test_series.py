@@ -148,7 +148,7 @@ def _int_coords(code, field):
         code //= field.p
 
 
-@pytest.mark.parametrize("field", [F2, F3, FiniteField(2, [1, 1, 1])])
+@pytest.mark.parametrize("field", [F2, F3, FiniteField(2, [1, 1, 1]), F5])
 def test_ring_axioms_randomised(field):
     rng = random.Random(20240 + field.order)
     for _ in range(60):
