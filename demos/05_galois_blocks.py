@@ -1,8 +1,10 @@
 """Finite block models of Galois images and the monodromy classification.
 
 The Galois action on a torsion basis of a semi-abelian quotient is a block
-matrix [[D, W], [0, I]] over Z/p^n.  Its derived subgroup is exactly the
-unipotent block, which is the group-theoretic reason the inertia action in
+matrix [[D, W], [0, I]] over Z/p^n.  Its derived subgroup is I*W, where I
+is the ideal generated by {u - 1 : u a unit}: the whole unipotent block for
+odd p (as in the cases below), 2W for p = 2.  That the derived subgroup lies
+in the unipotent block is the group-theoretic reason the inertia action in
 the ordinary case is unipotent.
 """
 
@@ -11,14 +13,16 @@ from monodromy_lab.monodromy import (
     UniformizationData,
     classify_monodromy,
     commutator_closure,
-    full_block_group,
+    elementary_generators,
+    mulclose,
     unipotent_index,
     unipotent_subgroup,
 )
 
 for p, n, d in ((3, 1, 2), (3, 1, 4)):
-    group = full_block_group(p, n, d)
-    derived = commutator_closure(group)
+    generators = elementary_generators(p, n, d)
+    group = mulclose(generators)
+    derived = commutator_closure(generators)
     unipotent = unipotent_subgroup(p, n, d)
     print("(p, n, d) = (%d, %d, %d)" % (p, n, d))
     print("  full block group order:", len(group))

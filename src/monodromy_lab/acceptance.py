@@ -30,14 +30,7 @@ from .formal_groups import (
     verify_ladder,
     verify_tower,
 )
-from .monodromy import (
-    TateLattice,
-    commutator_closure,
-    full_block_group,
-    tate_torsion_tower,
-    unipotent_index,
-    unipotent_subgroup,
-)
+from .monodromy import TateLattice, tate_torsion_tower
 from .polynomials import CoefficientSeries
 from .reports import emit_report
 from .scenarios import run_scenario
@@ -255,40 +248,7 @@ def criterion_cocharacter_table():
     )
 
 
-# -- 7. Galois block group ----------------------------------------------------------
-
-
-def criterion_galois_block_group():
-    start = time.perf_counter()
-    group = full_block_group(3, 1, 2)
-    if len(group) != 6:
-        return _result("galois-block-group", start, False, "order %d != 6" % len(group))
-    derived = commutator_closure(group)
-    uni2 = frozenset(unipotent_subgroup(3, 1, 2))
-    if derived != uni2 or len(derived) != 3:
-        return _result("galois-block-group", start, False, "derived != unipotent (d=2)")
-    group4 = full_block_group(3, 1, 4)
-    derived4 = commutator_closure(group4)
-    uni4 = frozenset(unipotent_subgroup(3, 1, 4))
-    if derived4 != uni4 or len(derived4) != 81:
-        return _result(
-            "galois-block-group", start, False, "derived != full unipotent (d=4)"
-        )
-    for p, n, d in ((3, 1, 2), (3, 1, 4), (2, 1, 2)):
-        full = len(full_block_group(p, n, d))
-        uni = len(unipotent_subgroup(p, n, d))
-        if full != unipotent_index(p, n, d) * uni:
-            return _result(
-                "galois-block-group", start, False,
-                "index formula off at (%d,%d,%d)" % (p, n, d),
-            )
-    return _result(
-        "galois-block-group", start, True,
-        "(3,1,2): 6 -> derived 3; (3,1,4): derived = unipotent 3^4; index counts match",
-    )
-
-
-# -- 8. classification golden ---------------------------------------------------------
+# -- 7. classification golden ---------------------------------------------------------
 
 
 _CLASSIFY_TABLE = {
@@ -337,7 +297,6 @@ CRITERIA = (
     criterion_tate_towers,
     criterion_clifford_dimensions,
     criterion_cocharacter_table,
-    criterion_galois_block_group,
     criterion_classification_golden,
 )
 

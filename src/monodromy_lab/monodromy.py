@@ -7,11 +7,15 @@ roots of the periods: purely inseparable extensions, trivial Galois image.
 
 In the semi-abelian case the Galois action on a torsion basis is served by
 finite block matrices [[D, W], [0, I]] over Z/p^n with D an invertible
-diagonal block.  ``commutator_closure`` enumerates derived subgroups of such
-groups (every commutator lands in the unipotent block D = I, which is
-asserted), ``unipotent_index`` counts the diagonal choices, and
-``classify_monodromy`` maps a reduction-type descriptor to the monodromy
-outcome together with a stable case label.
+diagonal block.  The full group of these is the semidirect product of the
+diagonal units and W.  Its derived subgroup is I*W, where I is the ideal of
+Z/p^n generated by {u - 1 : u a unit}: all of W for odd p, but only 2W for
+p = 2.  ``commutator_closure`` enumerates derived subgroups (every
+commutator lands in the unipotent block D = I, which is asserted),
+``elementary_generators`` gives a small generating set of the full group,
+``unipotent_index`` counts the diagonal choices, and ``classify_monodromy``
+maps a reduction-type descriptor to the monodromy outcome together with a
+stable case label.
 
 Enumeration uses a single-threaded worklist; all outputs are immutable.
 """
@@ -242,11 +246,7 @@ class BlockGaloisElement:
         )
 
 
-def block_mul(a, b):
-    return a * b
-
-
-def mulclose(generators, bound=ENUMERATION_BOUND):
+def mulclose(generators):
     """The subgroup generated by ``generators``, by worklist closure."""
     gens = [g for g in generators]
     if not gens:
@@ -262,20 +262,22 @@ def mulclose(generators, bound=ENUMERATION_BOUND):
                 if y not in group:
                     group.add(y)
                     nxt.append(y)
-                    if len(group) > bound:
+                    if len(group) > ENUMERATION_BOUND:
                         raise ComputationError(
-                            "enumeration bound %d exceeded" % bound
+                            "enumeration bound %d exceeded" % ENUMERATION_BOUND
                         )
         frontier = nxt
     return frozenset(group)
 
 
-def commutator_closure(generators, bound=ENUMERATION_BOUND):
+def commutator_closure(generators):
     """Derived subgroup of the group generated by ``generators``.
 
-    Seeds with the commutators of generator pairs, closes under products,
-    then under conjugation by the generators (normal closure); asserts that
-    everything produced is unipotent, as the block shape demands.
+    Seeds with the commutators of generator pairs and closes the seed under
+    conjugation by the generators (normal closure): <S> is normal in <T>
+    once t^-1 s t lies in <S> for every s in S and t in T, so only the seed
+    is conjugated.  Asserts that everything produced is unipotent, as the
+    block shape demands.
     """
     gens = list(dict.fromkeys(generators))
     if not gens:
@@ -292,13 +294,9 @@ def commutator_closure(generators, bound=ENUMERATION_BOUND):
     if not seed:
         seed = {gens[0] * inverses[0]}
     while True:
-        subgroup = mulclose(seed, bound=bound)
-        new = set()
-        for ginv, g in zip(inverses, gens):
-            for h in subgroup:
-                c = ginv * h * g
-                if c not in subgroup:
-                    new.add(c)
+        subgroup = mulclose(seed)
+        new = {ginv * s * g for ginv, g in zip(inverses, gens) for s in seed}
+        new -= subgroup
         if not new:
             for h in subgroup:
                 if not h.is_unipotent:
@@ -306,16 +304,42 @@ def commutator_closure(generators, bound=ENUMERATION_BOUND):
                         "commutator subgroup left the unipotent block"
                     )
             return subgroup
-        seed = set(subgroup) | new
+        seed |= new
 
 
-def full_block_group(p, n, d, bound=ENUMERATION_BOUND):
+def elementary_generators(p, n, d):
+    """A generating set of the full block group for (p, n, d).
+
+    With h = d/2: one element per diagonal slot and unit u != 1 (u in that
+    slot, W = 0), and one per W entry (D = I, W = E_ij), so
+    h * (phi(p^n) - 1) + h^2 elements in all.
+    """
+    half = d // 2
+    mod = p ** n
+    ones = (1,) * half
+    zero = ((0,) * half,) * half
+    gens = [
+        BlockGaloisElement(p, n, d, ones[:i] + (u,) + ones[i + 1 :], zero)
+        for i in range(half)
+        for u in range(2, mod)
+        if u % p
+    ]
+    for i in range(half):
+        for j in range(half):
+            w = tuple(
+                tuple(int((r, c) == (i, j)) for c in range(half)) for r in range(half)
+            )
+            gens.append(BlockGaloisElement(p, n, d, ones, w))
+    return gens
+
+
+def full_block_group(p, n, d):
     """Every block element for (p, n, d); sizes are checked against the bound."""
     half = d // 2
     mod = p ** n
     units = [u for u in range(1, mod) if u % p]
     order = len(units) ** half * mod ** (half * half)
-    if order > bound:
+    if order > ENUMERATION_BOUND:
         raise ComputationError("full block group order %d exceeds bound" % order)
     elements = []
     for diag in itertools.product(units, repeat=half):
@@ -325,12 +349,12 @@ def full_block_group(p, n, d, bound=ENUMERATION_BOUND):
     return elements
 
 
-def unipotent_subgroup(p, n, d, bound=ENUMERATION_BOUND):
+def unipotent_subgroup(p, n, d):
     """All [[I, W], [0, I]] elements."""
     half = d // 2
     mod = p ** n
     order = mod ** (half * half)
-    if order > bound:
+    if order > ENUMERATION_BOUND:
         raise ComputationError("unipotent subgroup order %d exceeds bound" % order)
     out = []
     for flat in itertools.product(range(mod), repeat=half * half):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from monodromy_lab import ComputationError
 from monodromy_lab.cli import main
 from monodromy_lab.reports import emit_report
 from monodromy_lab.scenarios import run_scenario
@@ -25,6 +26,23 @@ def test_every_shipped_scenario_matches_its_golden(name):
     assert report.ok
     data = emit_report(report, "json")
     assert data == (GOLDEN / (name + ".golden.json")).read_bytes()
+
+
+def test_galois_generator_list_needs_no_enumeration_of_w():
+    # |W| = 3^16 is over the enumeration bound; <generator> has order 2
+    w = [[1, 0, 0, 0]] + [[0] * 4] * 3
+    doc = {"kind": "galois", "p": 3, "n": 1, "d": 8,
+           "generators": [{"diag": [2, 1, 1, 1], "w": w}]}
+    report = run_scenario(doc)
+    assert report.ok
+    assert report.result["group_order"] == 2
+    assert report.result["unipotent_order"] == 3 ** 16
+
+
+def test_galois_full_group_over_the_bound_is_refused():
+    doc = {"kind": "galois", "p": 3, "n": 3, "d": 4, "generators": "full"}
+    with pytest.raises(ComputationError, match="order 172186884 exceeds bound"):
+        run_scenario(doc)
 
 
 def test_json_reports_are_byte_deterministic():

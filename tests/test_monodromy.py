@@ -14,6 +14,7 @@ from monodromy_lab.monodromy import (
     UniformizationData,
     classify_monodromy,
     commutator_closure,
+    elementary_generators,
     full_block_group,
     mulclose,
     tate_torsion_tower,
@@ -182,6 +183,45 @@ def test_derived_always_unipotent_randomised():
             gens.append(BlockGaloisElement(p, n, d, diag, w))
         derived = commutator_closure(gens)
         assert all(x.is_unipotent for x in derived)
+
+
+# -- elementary generators ---------------------------------------------------------
+
+# (p, n, d) -> order of the derived subgroup I*W: all of W for odd p, 2W at p = 2
+_DERIVED_ORDERS = {
+    (2, 1, 2): 1,
+    (2, 2, 2): 2,
+    (2, 3, 2): 4,
+    (2, 1, 4): 1,
+    (3, 1, 2): 3,
+    (3, 1, 4): 81,
+    (5, 1, 2): 5,
+}
+
+
+@pytest.mark.parametrize("pnd", sorted(_DERIVED_ORDERS))
+def test_elementary_generators_generate_the_full_group(pnd):
+    gens = elementary_generators(*pnd)
+    half = pnd[2] // 2
+    phi = (pnd[0] - 1) * pnd[0] ** (pnd[1] - 1)
+    assert len(gens) == half * (phi - 1) + half * half
+    assert mulclose(gens) == frozenset(full_block_group(*pnd))
+
+
+@pytest.mark.parametrize("pnd", sorted(_DERIVED_ORDERS))
+def test_derived_order_from_elementary_generators(pnd):
+    derived = commutator_closure(elementary_generators(*pnd))
+    assert len(derived) == _DERIVED_ORDERS[pnd]
+
+
+def test_commutator_closure_of_a_seed_that_is_not_normal():
+    # [a, b] generates 5 elements; conjugating by a adds the rest of diagonal W
+    a = BlockGaloisElement(5, 1, 4, (2, 3), ((0, 0), (0, 0)))
+    b = BlockGaloisElement(5, 1, 4, (1, 1), ((1, 0), (0, 1)))
+    assert len(mulclose([a.commutator(b)])) == 5
+    derived = commutator_closure([a, b])
+    assert len(derived) == 25
+    assert derived == commutator_closure(list(mulclose([a, b])))
 
 
 # -- unipotent index -------------------------------------------------------------
