@@ -5,8 +5,10 @@
     monodromy-lab selftest
 
 Exit codes: 0 ok, 2 schema violation, 3 computation error, 4 precision
-exhaustion.  Expected errors never print stack traces; computation and
-precision failures still emit a deterministic error report.
+exhaustion, 5 the scenario ran but one of its built-in assertions is false
+(the report is written as usual).  Expected errors never print stack
+traces; computation and precision failures still emit a deterministic
+error report.
 """
 
 import argparse
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_COMPUTATION = 3
 EXIT_PRECISION = 4
+EXIT_ASSERTION = 5
 
 
 def _load_document(path):
@@ -60,7 +63,7 @@ def _run_one(path, fmt, out):
         _write(emit_error_report(_safe_doc(path), exc, fmt or "json"), out)
         return EXIT_COMPUTATION
     _write(emit_report(report, fmt), out)
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_ASSERTION
 
 
 def _safe_doc(path):

@@ -587,7 +587,12 @@ def _weight_slot(splitting, coords):
 def cocharacter_conjugation_check(splitting, v):
     """Left multiplication by a homogeneous vector shifts the splitting by
     one weight step (down for the isotropic pair, up for its duals) and
-    commutes with the even/odd grading."""
+    commutes with the even/odd grading.
+
+    Parity does not depend on v: Cl(V) is Z/2-graded by construction, so
+    ``parity_preserved`` is certified once from the generators, by checking
+    that each basis vector flips the parity of each monomial (see
+    ``_parity_preserved``), not by multiplying out every even product."""
     coords = v.grade_one_coords()
     if coords is None or not any(coords):
         raise ComputationError("v must be a nonzero vector")
@@ -602,7 +607,7 @@ def cocharacter_conjugation_check(splitting, v):
         target = splitting.piece(i - shift)
         image = source.left_multiply(v)
         containments.append((i, target.contains(image)))
-    parity_ok = _parity_preserved(splitting.lattice, splitting, v)
+    parity_ok = _parity_preserved(splitting)
     return CocharacterCheck(
         shift=shift,
         containments=tuple(containments),
@@ -642,18 +647,32 @@ def search_isotropic_vectors(lattice, height=3, limit=16):
     return found
 
 
-def _parity_preserved(lattice, splitting, v):
-    """Even products of the splitting vectors act parity-preservingly."""
+def _parity_preserved(splitting):
+    """Even products of the splitting vectors act parity-preservingly.
+
+    Cl(V) is Z/2-graded: its defining relations e_i e_j + e_j e_i = 2 B(e_i,
+    e_j) equate elements of even degree, so left multiplication by a vector
+    raises parity by one.  The check is a certificate of exactly that on the
+    generators: every product e_i * e_S of a basis vector with a monomial
+    holds only monomials of parity |S| + 1 (dim V * 2^dim V cached basis
+    products).  By linearity every vector then flips parity, and by
+    associativity every product a * b of two vectors, applied as a * (b * x),
+    preserves it.  The products a * b of the splitting vectors are also
+    checked to be even themselves.
+    """
+    lattice = splitting.lattice
     vectors = list(splitting.i_minus1) + list(splitting.i_1) + list(
         splitting.i_0_basis
     )
-    evens = [a * b for a, b in itertools.combinations(vectors, 2)]
-    evens = [e for e in evens if e]
-    for e in evens:
-        if e.parity() != 0:
+    for a, b in itertools.combinations(vectors, 2):
+        e = a * b
+        if e and e.parity() != 0:
             return False
-        for mono in lattice.monomials():
-            prod = e * CliffordElement(lattice, {mono: Fraction(1)})
-            if prod and prod.parity() != len(mono) % 2:
-                return False
+    monos = list(lattice.monomials())
+    for i in range(lattice.dim):
+        for mono in monos:
+            flipped = (len(mono) + 1) % 2
+            for m in lattice._mul_basis((i,), mono):
+                if len(m) % 2 != flipped:
+                    return False
     return True

@@ -10,21 +10,26 @@ from fractions import Fraction
 from .errors import ComputationError
 
 
+def _subtract(r, factor, row):
+    """r -= factor * row in place, dropping the entries that cancel."""
+    for cc, vv in row.items():
+        nv = r.get(cc, 0) - factor * vv
+        if nv:
+            r[cc] = nv
+        else:
+            r.pop(cc, None)
+
+
 def _reduce_against(row, pivots):
-    """Reduce a sparse row against pivot rows (pivot col -> normalized row)."""
+    """Reduce a sparse row against pivot rows (pivot col -> normalized row)
+    until its leading column is not a pivot; returns (row, that column)."""
     r = dict(row)
     while r:
         c = min(r)
         prow = pivots.get(c)
         if prow is None:
             return r, c
-        factor = r[c]
-        for cc, vv in prow.items():
-            nv = r.get(cc, 0) - factor * vv
-            if nv:
-                r[cc] = nv
-            else:
-                r.pop(cc, None)
+        _subtract(r, r[c], prow)
     return r, None
 
 
@@ -35,17 +40,17 @@ def rref(rows):
         r, c = _reduce_against(row, pivots)
         if c is None:
             continue
+        # _reduce_against stops at the first non-pivot column; the existing
+        # pivot columns to its right must be cleared too, or the basis is
+        # not reduced (and nullspace reads wrong coefficients off it).
+        # Existing rows are zero on each other's pivots, so one pass does.
+        for pc in [cc for cc in r if cc in pivots]:
+            _subtract(r, r[pc], pivots[pc])
         inv = Fraction(1) / r[c]
         r = {cc: vv * inv for cc, vv in r.items()}
-        for pc, prow in list(pivots.items()):
+        for prow in pivots.values():
             if c in prow:
-                factor = prow[c]
-                for cc, vv in r.items():
-                    nv = prow.get(cc, 0) - factor * vv
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
+                _subtract(prow, prow[c], r)
         pivots[c] = r
     return pivots
 

@@ -7,7 +7,7 @@ import pytest
 
 from monodromy_lab import ComputationError
 from monodromy_lab.cli import main
-from monodromy_lab.reports import emit_report
+from monodromy_lab.reports import Report, emit_report
 from monodromy_lab.scenarios import run_scenario
 
 DATA = resources.files("monodromy_lab") / "data"
@@ -133,6 +133,38 @@ def test_exit_code_precision_error(tmp_path, capsys):
     assert code == 4
     payload = json.loads(out)
     assert payload["error"]["type"] == "PrecisionError"
+
+
+def _failing_report(doc):
+    """A report that ran but whose one built-in assertion is false."""
+    return Report(
+        scenario=doc,
+        result={"value": 1},
+        assertions={"holds": False},
+        provenance={},
+    )
+
+
+def test_exit_code_assertion_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("monodromy_lab.cli.run_scenario", _failing_report)
+    path = _copy_scenario("ladder_p2_m1", tmp_path)
+    code = main(["run", str(path)])
+    out = capsys.readouterr().out.encode()
+    assert code == 5
+    # the report itself is written exactly as for a passing run
+    doc = json.loads(path.read_text())
+    assert out == emit_report(_failing_report(doc), "json")
+    assert json.loads(out)["assertions"] == {"holds": False}
+
+
+def test_batch_reports_assertion_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("monodromy_lab.cli.run_scenario", _failing_report)
+    _copy_scenario("ladder_p2_m1", tmp_path)
+    code = main(["batch", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 5
+    assert "error(5) ladder_p2_m1.json" in out
+    assert (tmp_path / "ladder_p2_m1.report.json").exists()
 
 
 def test_batch_runs_directory(tmp_path, capsys):

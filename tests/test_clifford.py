@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from monodromy_lab import ComputationError
 from monodromy_lab.clifford import (
     CliffordElement,
     GramLattice,
+    _parity_preserved,
     cocharacter_conjugation_check,
     filtration_type2,
     filtration_type3,
@@ -268,6 +270,90 @@ def test_full_table_n2():
     for v in reps:
         chk = cocharacter_conjugation_check(s, v)
         assert chk.ok, (v, chk)
+
+
+# A type II n = 3 scenario in a basis rebased by a unit upper triangular
+# change of basis with +-1 entries on the two diagonals above the main one.
+# Its I_0 vector comes from ``linalg.nullspace`` over dense constraints.
+REBASED_N3 = {
+    "kind": "clifford",
+    "n": 3,
+    "filtration": "II",
+    "lattice": [
+        [0, 0, 1, 1, -1],
+        [0, 0, 1, 2, 0],
+        [1, 1, -2, 0, 2],
+        [1, 2, 0, -2, -1],
+        [-1, 0, 2, -1, 1],
+    ],
+    "vectors": {
+        "e1": [1, 0, 0, 0, 0],
+        "e2": [-1, 1, 0, 0, 0],
+        "e3": [2, -1, 1, 0, 0],
+        "e4": [-3, 2, -1, 1, 0],
+    },
+    "with_splitting": True,
+    "with_cocharacter": True,
+}
+
+
+def _rebased_splitting():
+    L = GramLattice(REBASED_N3["lattice"])
+    e1, e2, e3, e4 = (L.vector(REBASED_N3["vectors"][k]) for k in ("e1", "e2", "e3", "e4"))
+    return graded_splitting(filtration_type2(L, e1, e2), e3, e4)
+
+
+def test_rebased_n3_cocharacter_containments():
+    from monodromy_lab.scenarios import run_scenario
+
+    report = run_scenario(REBASED_N3)
+    assert report.assertions["cocharacter_containments"] is True
+    assert report.ok
+    slots = [row["slot"] for row in report.result["cocharacter_table"]]
+    assert slots == ["I_-1", "I_0", "I_1"]
+
+
+def _enumerative_parity_preserved(splitting):
+    """Reference: multiply every even product of the splitting vectors by
+    every monomial and read off the parity of each product."""
+    lattice = splitting.lattice
+    vectors = list(splitting.i_minus1) + list(splitting.i_1) + list(splitting.i_0_basis)
+    evens = [a * b for a, b in itertools.combinations(vectors, 2)]
+    for e in (e for e in evens if e):
+        if e.parity() != 0:
+            return False
+        for mono in lattice.monomials():
+            prod = e * CliffordElement(lattice, {mono: Fraction(1)})
+            if prod and prod.parity() != len(mono) % 2:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("which", ["n2", "n3", "rebased-n3"])
+def test_parity_certificate_agrees_with_enumeration(which):
+    if which == "rebased-n3":
+        s = _rebased_splitting()
+    else:
+        _, s = _standard_splitting(int(which[1]))
+    assert _parity_preserved(s) is _enumerative_parity_preserved(s) is True
+
+
+def test_parity_certificate_catches_a_wrong_parity_product(monkeypatch):
+    L, s = _standard_splitting(2)
+    honest = L._mul_basis
+
+    def corrupted(a, b):
+        out = honest(a, b)
+        if len(a) == 1 and b == (1, 2):
+            out = dict(out)
+            out[()] = Fraction(1)  # e_i e_{23} must be odd
+        return out
+
+    assert cocharacter_conjugation_check(s, L.basis_vector(0)).parity_preserved
+    monkeypatch.setattr(L, "_mul_basis", corrupted)
+    chk = cocharacter_conjugation_check(s, L.basis_vector(0))
+    assert chk.parity_preserved is False
+    assert not chk.ok
 
 
 # -- isotropic search helper ---------------------------------------------------------
