@@ -4,6 +4,11 @@
     monodromy-lab batch <dir> [--format json|text]
     monodromy-lab selftest
 
+``selftest`` runs every shipped scenario in ``data/scenarios/`` and checks
+that it reports ``ok`` and that its JSON report is byte-identical to
+``data/golden/<name>.golden.json``; it exits 0 only if all of them match,
+else 1.
+
 Exit codes: 0 ok, 2 schema violation, 3 computation error, 4 precision
 exhaustion, 5 the scenario ran but one of its built-in assertions is false
 (the report is written as usual).  Expected errors never print stack
@@ -14,9 +19,11 @@ error report.
 import argparse
 import json
 import sys
+import time
+from importlib import resources
 from pathlib import Path
 
-from .errors import ComputationError, PrecisionError, SchemaError
+from .errors import ComputationError, MonodromyLabError, PrecisionError, SchemaError
 from .reports import emit_error_report, emit_report
 from .scenarios import run_scenario, scenario_format
 
@@ -100,16 +107,23 @@ def _cmd_batch(args):
 
 
 def _cmd_selftest(_args):
-    from .acceptance import run_all
-
-    results = run_all()
+    """Run every shipped scenario and compare its JSON report with the golden."""
+    data = resources.files("monodromy_lab") / "data"
+    names = sorted(p.name[: -len(".json")] for p in (data / "scenarios").iterdir())
     failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print("[%s] %-28s %6.2fs  %s" % (status, res.name, res.seconds, res.detail))
-        if not res.passed:
-            failed += 1
-    print("%d/%d criteria passed" % (len(results) - failed, len(results)))
+    for name in names:
+        start = time.perf_counter()
+        doc = json.loads((data / "scenarios" / (name + ".json")).read_text())
+        golden = (data / "golden" / (name + ".golden.json")).read_bytes()
+        try:
+            report = run_scenario(doc)
+            passed = report.ok and emit_report(report, "json") == golden
+        except MonodromyLabError:
+            passed = False
+        status = "PASS" if passed else "FAIL"
+        print("[%s] %-32s %6.2fs" % (status, name, time.perf_counter() - start))
+        failed += not passed
+    print("%d/%d scenarios match their goldens" % (len(names) - failed, len(names)))
     return EXIT_OK if failed == 0 else 1
 
 
@@ -132,7 +146,9 @@ def build_parser():
     batch_p.add_argument("--format", choices=("json", "text"), default=None)
     batch_p.set_defaults(func=_cmd_batch)
 
-    self_p = sub.add_parser("selftest", help="run the acceptance suite")
+    self_p = sub.add_parser(
+        "selftest", help="check every shipped scenario's report against its golden"
+    )
     self_p.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -196,13 +196,17 @@ def _tuple_to_mask(t):
 
 
 class CliffordElement:
-    """A rational element of Cl(V) over the subset-monomial basis."""
+    """A rational element of Cl(V) over the subset-monomial basis.
+
+    ``terms`` maps monomials to ``Fraction`` coefficients; callers coerce
+    at the boundary (``GramLattice.vector``, ``scale``).
+    """
 
     __slots__ = ("lattice", "terms")
 
     def __init__(self, lattice, terms):
         self.lattice = lattice
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     def _check(self, other):
         if self.lattice != other.lattice:
@@ -339,9 +343,6 @@ class Subspace:
 
     def contains(self, other):
         return self.rows.contains(other.rows)
-
-    def contains_element(self, element):
-        return self.rows.contains_row(element.to_row())
 
     def add(self, other):
         return Subspace(self.lattice, self.rows.add(other.rows))

@@ -2,15 +2,14 @@
 
 Elements are coordinate vectors over F_p relative to a user-supplied monic
 irreducible polynomial ``pi``.  There is no internal table of moduli: callers
-name the field they want.  Irreducibility is certified by trial factorization
-(degree <= 16), primality of p by trial division.
+name the field they want.  Irreducibility is certified by Rabin's test
+(Rabin, "Probabilistic algorithms in finite fields", SIAM J. Comput. 9,
+1980), primality of p by trial division.
 
 All values are immutable; arithmetic returns fresh elements.
 """
 
 from .errors import ComputationError
-
-_TRIAL_FACTOR_LIMIT = 500_000  # candidate divisors we are willing to try
 
 
 def is_prime(n):
@@ -54,9 +53,19 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_divides(d, a, p):
-    """True if monic d divides a over F_p."""
-    return not _poly_mod(a, d, p)
+def _poly_minus_x(h, p):
+    h = h + [0] * (2 - len(h))
+    h[1] = (h[1] - 1) % p
+    return _poly_trim(h)
+
+
+def _poly_gcd(a, b, p):
+    """A gcd of a and b over F_p (not normalised)."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
 
 
 class FiniteField:
@@ -78,33 +87,33 @@ class FiniteField:
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.order = p ** self.degree
-        if self.degree > 1 and self.degree <= 16:
+        if self.degree > 1:
             self._check_irreducible()
         self._zero = FiniteFieldElement(self, (0,) * self.degree)
         self._one = FiniteFieldElement(self, (1,) + (0,) * (self.degree - 1))
 
     def _check_irreducible(self):
+        """Rabin's test: pi of degree r is irreducible over F_p iff
+        x^(p^r) = x mod pi and gcd(x^(p^(r/l)) - x, pi) = 1 for every
+        prime l dividing r.
+        """
         p, r = self.p, self.degree
-        count = sum(p ** d for d in range(1, r // 2 + 1))
-        if count > _TRIAL_FACTOR_LIMIT:
-            raise ComputationError(
-                "irreducibility check by trial factorization infeasible for "
-                "p=%d, degree %d" % (p, r)
-            )
         pi = list(self.modulus)
-        for d in range(1, r // 2 + 1):
-            # all monic degree-d candidates
-            for code in range(p ** d):
-                cand = []
-                x = code
-                for _ in range(d):
-                    cand.append(x % p)
-                    x //= p
-                cand.append(1)
-                if _poly_divides(cand, pi, p):
-                    raise ComputationError(
-                        "modulus %s is reducible over F_%d" % (pi, p)
-                    )
+        frob = [[0, 1]]  # frob[k] = x^(p^k) mod pi
+        for _ in range(r):
+            base, e, acc = frob[-1], p, [1]
+            while e:
+                if e & 1:
+                    acc = _poly_mod(_poly_mul(acc, base, p), pi, p)
+                base = _poly_mod(_poly_mul(base, base, p), pi, p)
+                e >>= 1
+            frob.append(acc)
+        if frob[r] != [0, 1] or any(
+            len(_poly_gcd(pi, _poly_minus_x(frob[r // ell], p), p)) > 1
+            for ell in range(2, r + 1)
+            if r % ell == 0 and is_prime(ell)
+        ):
+            raise ComputationError("modulus %s is reducible over F_%d" % (pi, p))
 
     # -- constructors ------------------------------------------------------
 
@@ -244,10 +253,6 @@ class FiniteFieldElement:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
-
-    def frobenius(self):
-        """x -> x**p."""
-        return self ** self.field.p
 
     def frobenius_inverse(self):
         """The unique y with y**p = x (Frobenius is bijective on F_q)."""

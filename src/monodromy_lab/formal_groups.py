@@ -160,7 +160,7 @@ class WeierstrassModel:
 class FormalGroupLaw:
     """F(x, y) as a total-degree-truncated table of PuiseuxSeries."""
 
-    def __init__(self, field, table, x_trunc, check=True, associativity_order=None):
+    def __init__(self, field, table, x_trunc, associativity_order=None):
         self.field = field
         self.p = field.p
         self.x_trunc = x_trunc
@@ -168,8 +168,7 @@ class FormalGroupLaw:
             k: v for k, v in table.items() if not v.is_exact_zero and sum(k) <= x_trunc
         }
         self._inverse = None
-        if check:
-            self._check_axioms(associativity_order)
+        self._check_axioms(associativity_order)
 
     @classmethod
     def additive(cls, field, x_trunc=8):
@@ -186,7 +185,7 @@ class FormalGroupLaw:
             raise PrecisionError("formal group only known to total degree %d" % self.x_trunc)
         return self.table.get((i, j), PuiseuxSeries.zero(self.field))
 
-    def _check_axioms(self, associativity_order=None):
+    def _check_axioms(self, associativity_order):
         one = PuiseuxSeries.one(self.field)
         for (i, j), v in self.table.items():
             if j == 0 and v.known_nonzero and (i != 1 or not v.agrees_with(one)):
@@ -308,12 +307,12 @@ class FormalGroupLaw:
         return result
 
 
-def ec_formal_group(model, x_trunc=None, associativity_order=_ASSOCIATIVITY_CHECK_CAP):
+def ec_formal_group(model, x_trunc=None):
     """The formal group of an elliptic Weierstrass model, to total degree X.
 
     X defaults to p^2 + p, enough for the [p]-decomposition with headroom.
     The group-law axioms are checked on construction (associativity up to
-    ``associativity_order``, whose default keeps large-X builds affordable).
+    degree ``_ASSOCIATIVITY_CHECK_CAP``, which keeps large-X builds affordable).
     """
     field = model.field
     X = x_trunc if x_trunc is not None else field.p ** 2 + field.p
@@ -386,9 +385,7 @@ def ec_formal_group(model, x_trunc=None, associativity_order=_ASSOCIATIVITY_CHEC
     neg = truncated_product({(1,): -one}, truncated_unit_inverse(unit, X - 1), X)
 
     table = _msubst(field, neg, X, (z3,), 2)
-    return FormalGroupLaw(
-        field, table, X, check=True, associativity_order=associativity_order
-    )
+    return FormalGroupLaw(field, table, X, associativity_order=_ASSOCIATIVITY_CHECK_CAP)
 
 
 # ---------------------------------------------------------------------------

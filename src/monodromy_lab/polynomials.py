@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, PrecisionError
-from .series import DEFAULT_TRUNCATION, INFINITY, PuiseuxSeries
+from .series import DEFAULT_TRUNCATION, INFINITY, PuiseuxSeries, dense_unit_inverse
 
 _RESIDUE_SEARCH_LIMIT = 1 << 16
 _MAX_EXPANSION_DEPTH = 512
@@ -249,11 +249,6 @@ class NewtonPolygon:
                 return v0 + Fraction(v1 - v0, i1 - i0) * (index - i0)
         return self.vertices[0][1]
 
-    def first_segment(self):
-        if self.is_degenerate:
-            raise ComputationError("degenerate polygon has no segments")
-        return self.segments[0]
-
     def verify(self):
         """Recheck the hull definition point by point (test helper)."""
         assert sum(s.length for s in self.segments) == (
@@ -437,12 +432,7 @@ def weierstrass_prepare(f, precision=None):
 
     ubar = fbar[d:]
     # residue inverse of the unit part, to x-degree X
-    ubar_inv = [ubar[0].inverse()]
-    for k in range(1, X + 1):
-        acc = field.zero()
-        for j in range(1, min(k, len(ubar) - 1) + 1):
-            acc = acc + ubar[j] * ubar_inv[k - j]
-        ubar_inv.append(-(ubar_inv[0] * acc))
+    ubar_inv = dense_unit_inverse(ubar, X + 1)
 
     width_u = X - d
     H = [[field.zero()] * n_slices for _ in range(d + 1)]

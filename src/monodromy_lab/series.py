@@ -42,6 +42,31 @@ def _min_trunc(a, b):
     return min(a, b)
 
 
+def dense_unit_inverse(a, m):
+    """The first m coefficients of 1/a for a dense F_q list with a[0] != 0.
+
+    Solves b_k = -a_0^{-1} * sum_{j >= 1} a_j * b_{k-j}, visiting only the
+    nonzero a_j.
+    """
+    if not m:
+        return []
+    inv0 = a[0].inverse()
+    neg_inv0 = -inv0
+    support = [(j, c) for j, c in enumerate(a) if j and c]
+    zero = inv0.field.zero()
+    b = [inv0]
+    for k in range(1, m):
+        acc = None
+        for j, c in support:
+            if j > k:
+                break
+            if b[k - j]:
+                term = c * b[k - j]
+                acc = term if acc is None else acc + term
+        b.append(zero if acc is None else neg_inv0 * acc)
+    return b
+
+
 class PuiseuxSeries:
     """A truncated series in t**(1/N) with exact finite-field coefficients."""
 
@@ -324,34 +349,18 @@ class PuiseuxSeries:
             result_trunc = Fraction(
                 precision if precision is not None else DEFAULT_TRUNCATION
             )
-        # normalise to u = 1 + eps with eps of positive valuation
+        # divide out t^v and invert the unit below bound = result_trunc + v
         n = self.n_ram
-        lead_inv = lead.inverse()
         v_scaled = v.numerator * (n // v.denominator)
-        eps = {}
-        for e, c in self.coeffs.items():
-            if e == v_scaled:
-                continue
-            eps[e - v_scaled] = lead_inv * c
-        # invert 1 + eps below bound = result_trunc + v
-        bound = result_trunc + v
-        m = max(0, math.ceil(bound * n))
+        m = max(0, math.ceil((result_trunc + v) * n))
         dense = [self.field.zero()] * m
-        if m:
-            dense[0] = self.field.one()
-        support = sorted(eps)
-        for e in range(1, m):
-            acc = self.field.zero()
-            for d in support:
-                if d > e:
-                    break
-                if dense[e - d]:
-                    acc = acc + eps[d] * dense[e - d]
-            dense[e] = -acc
+        for e, c in self.coeffs.items():
+            if e - v_scaled < m:
+                dense[e - v_scaled] = c
         out = {}
-        for e, c in enumerate(dense):
+        for e, c in enumerate(dense_unit_inverse(dense, m)):
             if c:
-                out[e - v_scaled] = lead_inv * c
+                out[e - v_scaled] = c
         return PuiseuxSeries(self.field, out, n, result_trunc)
 
     def __truediv__(self, other):

@@ -1,5 +1,8 @@
 import json
-import shutil
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -236,3 +239,40 @@ def test_scenario_level_format_field(tmp_path, capsys):
     # the CLI flag still overrides
     assert main(["run", str(path), "--format", "json"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_selftest_passes_every_shipped_golden(capsys):
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = scenario_names()
+    assert len(names) == 14
+    assert [line.split()[:2] for line in lines[:-1]] == [["[PASS]", n] for n in names]
+    assert lines[-1] == "14/14 scenarios match their goldens"
+
+
+def test_selftest_fails_only_the_corrupted_scenario(capsys, monkeypatch):
+    def corrupt_polygon(report, fmt):
+        data = emit_report(report, fmt)
+        return data + b" " if report.scenario["kind"] == "polygon" else data
+
+    monkeypatch.setattr("monodromy_lab.cli.emit_report", corrupt_polygon)
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("[FAIL]")]
+    assert failed == ["polygon_two_term"]
+    assert sum(line.startswith("[PASS]") for line in lines) == 13
+    assert lines[-1] == "13/14 scenarios match their goldens"
+
+
+def test_selftest_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "monodromy_lab.cli", "selftest"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(re.sub(r"\s+\d+\.\d+s$", "", proc.stdout, flags=re.M))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("[PASS]") == 14

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from monodromy_lab import ComputationError, FiniteField
@@ -49,9 +51,68 @@ def test_frobenius_inverse_roundtrip():
     F9 = FiniteField(3, [1, 0, 1])  # u^2 + 1 irreducible over F_3
     for x in F9.elements():
         assert x.frobenius_inverse() ** 3 == x
-        assert x.frobenius().frobenius_inverse() == x
+        assert (x ** 3).frobenius_inverse() == x
 
 
 def test_field_equality_is_structural():
     assert FiniteField(2, [1, 1, 1]) == FiniteField(2, [1, 1, 1])
     assert FiniteField(2) != FiniteField(3)
+
+
+def _trial_division_irreducible(p, modulus):
+    """Reference verdict: no monic polynomial of degree 1..r/2 divides pi."""
+    r = len(modulus) - 1
+    for d in range(1, r // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rem = list(modulus)
+            divisor = list(low) + [1]
+            for i in range(r, d - 1, -1):
+                c = rem[i]
+                for j in range(d + 1):
+                    rem[i - d + j] = (rem[i - d + j] - c * divisor[j]) % p
+            if not any(rem[:d]):
+                return False
+    return True
+
+
+def _accepted(p, modulus):
+    try:
+        FiniteField(p, modulus)
+    except ComputationError as exc:
+        assert "reducible" in str(exc)
+        return False
+    return True
+
+
+def test_degree_17_reducible_modulus_rejected():
+    # x^17 + 1 has the root 1 over F_2
+    with pytest.raises(ComputationError, match="reducible"):
+        FiniteField(2, [1] + [0] * 16 + [1])
+
+
+def test_degree_17_irreducible_modulus_accepted():
+    modulus = [1, 0, 0, 1] + [0] * 13 + [1]  # x^17 + x^3 + 1
+    assert _trial_division_irreducible(2, modulus)
+    field = FiniteField(2, modulus)
+    assert field.order == 2 ** 17
+    u = field.generator()
+    assert u ** field.order == u
+
+
+def test_product_of_two_degree_7_factors_refused_as_reducible():
+    # (x^7 - x - 1)(x^7 - x - 2) over F_7, degree 14
+    a, b = [6, 6, 0, 0, 0, 0, 0, 1], [5, 6, 0, 0, 0, 0, 0, 1]
+    product = [0] * 15
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] = (product[i + j] + x * y) % 7
+    with pytest.raises(ComputationError, match="reducible over F_7"):
+        FiniteField(7, product)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_every_small_modulus_matches_trial_division(p, r):
+    for low in itertools.product(range(p), repeat=r):
+        modulus = list(low) + [1]
+        assert _accepted(p, modulus) == _trial_division_irreducible(p, modulus), modulus

@@ -59,14 +59,21 @@ def test_tate_tower_rank_two_level_two():
 
 
 def test_tate_tower_degrees_sweep():
-    for p, field in ((2, F2), (3, F3)):
-        for g in (1, 2):
-            periods = tuple(t(field, i + 1) for i in range(g))
-            lattice = TateLattice(periods=periods, p=p)
-            for n in range(4):
-                tower = tate_torsion_tower(lattice, n)
-                assert tower.separable_degree == 1
-                assert tower.inseparable_degree == p ** (n * g)
+    cases = [
+        (p, tuple(t(field, i + 1) for i in range(g)))
+        for p, field in ((2, F2), (3, F3))
+        for g in (1, 2)
+    ]
+    # p = 3 over the truncated period t^3 (1 + t) + O(t^64)
+    q2 = t(F3, 3) * PuiseuxSeries.from_terms(F3, {0: 1, 1: 1})
+    cases.append((3, (t(F3).truncate(64), q2.truncate(64))))
+    for p, periods in cases:
+        lattice = TateLattice(periods=periods, p=p)
+        for n in range(4):
+            tower = tate_torsion_tower(lattice, n)
+            assert tower.separable_degree == 1
+            assert tower.inseparable_degree == p ** (n * len(periods))
+            assert tower.verify_generators(lattice)
 
 
 def test_tate_lattice_rejects_bad_periods():
@@ -160,9 +167,7 @@ def test_derived_subgroup_single_generator_trivial():
 
 
 def test_derived_subgroup_p3_n1_d4_is_full_unipotent():
-    group = full_block_group(3, 1, 4)
-    assert len(group) == 4 * 81
-    derived = commutator_closure(group)
+    derived = commutator_closure(elementary_generators(3, 1, 4))
     assert derived == frozenset(unipotent_subgroup(3, 1, 4))
     assert len(derived) == 81
 
