@@ -24,6 +24,11 @@ isotropic vectors (e3, e4) with the W-pieces, and
 vectors of the three homogeneous slots shifts the splitting by one weight
 step and preserves the even/odd grading.
 
+A monomial e_S is keyed everywhere by the bitmask of S (bit i set iff
+e_(i+1) occurs), and that bitmask is also its column in the ``RowSpace``
+rows, so an element's terms are a sparse row as they stand.  Subspaces of
+Cl(V) are ``RowSpace`` objects over 2^(n+2) columns.
+
 All linear algebra runs over Q with exact row reduction; n is capped at 6
 (algebra dimension 256) so rank certificates stay cheap.
 """
@@ -125,33 +130,34 @@ class GramLattice:
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.dim:
             raise ComputationError("vector needs %d coordinates" % self.dim)
-        terms = {(i,): c for i, c in enumerate(coords) if c}
+        terms = {1 << i: c for i, c in enumerate(coords) if c}
         return CliffordElement(self, terms)
 
     def basis_vector(self, i):
-        return CliffordElement(self, {(i,): Fraction(1)})
+        return CliffordElement(self, {1 << i: Fraction(1)})
 
     def one(self):
-        return CliffordElement(self, {(): Fraction(1)})
+        return CliffordElement(self, {0: Fraction(1)})
 
     def monomials(self):
-        """All index subsets, in bitmask order."""
-        for mask in range(1 << self.dim):
-            yield _mask_to_tuple(mask)
+        """All monomial bitmasks, in increasing order."""
+        return range(1 << self.dim)
 
     def _mul_basis(self, s, t):
-        """Normal-ordered product e_s * e_t as {monomial: Fraction}."""
+        """Normal-ordered product e_s * e_t of two monomial bitmasks as
+        {bitmask: Fraction}."""
         key = (s, t)
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         result = {}
-        stack = [(Fraction(1), list(s + t))]
+        stack = [(Fraction(1), list(_mask_to_tuple(s) + _mask_to_tuple(t)))]
         while stack:
             coeff, seq = stack.pop()
             k = _first_violation(seq)
             if k is None:
-                mono = tuple(seq)
+                # seq is strictly ascending: its indices are distinct bits
+                mono = sum(1 << i for i in seq)
                 result[mono] = result.get(mono, 0) + coeff
                 continue
             a, b = seq[k], seq[k + 1]
@@ -188,18 +194,12 @@ def _mask_to_tuple(mask):
     return tuple(out)
 
 
-def _tuple_to_mask(t):
-    m = 0
-    for i in t:
-        m |= 1 << i
-    return m
-
-
 class CliffordElement:
     """A rational element of Cl(V) over the subset-monomial basis.
 
-    ``terms`` maps monomials to ``Fraction`` coefficients; callers coerce
-    at the boundary (``GramLattice.vector``, ``scale``).
+    ``terms`` maps the bitmask of S to the ``Fraction`` coefficient of e_S;
+    the bitmasks are the ``RowSpace`` columns, so ``terms`` is a sparse row.
+    Callers coerce at the boundary (``GramLattice.vector``, ``scale``).
     """
 
     __slots__ = ("lattice", "terms")
@@ -257,7 +257,7 @@ class CliffordElement:
 
     def parity(self):
         """0 (even), 1 (odd), or None if mixed."""
-        seen = {len(m) % 2 for m in self.terms}
+        seen = {m.bit_count() % 2 for m in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
@@ -266,27 +266,18 @@ class CliffordElement:
         """Coordinate vector if the element is a pure vector, else None."""
         coords = [Fraction(0)] * self.lattice.dim
         for m, c in self.terms.items():
-            if len(m) != 1:
+            if m.bit_count() != 1:
                 return None
-            coords[m[0]] = c
+            coords[m.bit_length() - 1] = c
         return coords
-
-    def to_row(self):
-        """Sparse row over the bitmask-indexed monomial basis."""
-        return {_tuple_to_mask(m): c for m, c in self.terms.items()}
-
-    @classmethod
-    def from_row(cls, lattice, row):
-        return cls(lattice, {_mask_to_tuple(mask): c for mask, c in row.items()})
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[m]
-            name = "".join("e%d" % (i + 1) for i in m) or "1"
-            parts.append("%s*%s" % (c, name))
+        for m in sorted(self.terms, key=lambda m: (m.bit_count(), _mask_to_tuple(m))):
+            name = "".join("e%d" % (i + 1) for i in _mask_to_tuple(m)) or "1"
+            parts.append("%s*%s" % (self.terms[m], name))
         return " + ".join(parts)
 
 
@@ -330,56 +321,23 @@ def _signature(gram):
 # left ideals and filtrations
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Cl(V) as a canonical exact row space."""
-
-    lattice: GramLattice
-    rows: RowSpace
-
-    @property
-    def dim(self):
-        return self.rows.dim
-
-    def contains(self, other):
-        return self.rows.contains(other.rows)
-
-    def add(self, other):
-        return Subspace(self.lattice, self.rows.add(other.rows))
-
-    def intersect(self, other):
-        return Subspace(self.lattice, self.rows.intersect(other.rows))
-
-    def basis_elements(self):
-        return [
-            CliffordElement.from_row(self.lattice, r) for r in self.rows.basis_rows()
-        ]
-
-    def left_multiply(self, element):
-        """The image element * self."""
-        rows = [(element * b).to_row() for b in self.basis_elements()]
-        return Subspace(self.lattice, RowSpace(1 << self.lattice.dim, rows))
-
-
-def full_space(lattice):
-    rows = [{mask: Fraction(1)} for mask in range(1 << lattice.dim)]
-    return Subspace(lattice, RowSpace(1 << lattice.dim, rows))
-
-
-def zero_space(lattice):
-    return Subspace(lattice, RowSpace(1 << lattice.dim, []))
-
-
 def left_ideal_image(lattice, element):
-    """The left ideal element * Cl(V) as an exact subspace."""
+    """The left ideal element * Cl(V) as an exact ``RowSpace``."""
     if not element:
         raise ComputationError("left ideal of the zero element")
     rows = []
     for mono in lattice.monomials():
         prod = element * CliffordElement(lattice, {mono: Fraction(1)})
         if prod:
-            rows.append(prod.to_row())
-    return Subspace(lattice, RowSpace(1 << lattice.dim, rows))
+            rows.append(prod.terms)
+    return RowSpace(1 << lattice.dim, rows)
+
+
+def left_multiply(element, space):
+    """The image element * space of a ``RowSpace`` of Cl(V)."""
+    lattice = element.lattice
+    rows = [(element * CliffordElement(lattice, r)).terms for r in space.basis_rows()]
+    return RowSpace(space.ambient, rows)
 
 
 def _require_isotropic_vector(lattice, e, name):
@@ -397,8 +355,8 @@ class WeightFiltration:
 
     kind: str  # "II" | "III"
     lattice: GramLattice
-    w_minus2: Subspace
-    w_minus1: Subspace
+    w_minus2: RowSpace
+    w_minus1: RowSpace
     isotropic_vectors: tuple
 
     def dims(self):
@@ -458,9 +416,9 @@ class GradedSplitting:
 
     lattice: GramLattice
     filtration: WeightFiltration
-    h_0: Subspace
-    h_minus1: Subspace
-    h_minus2: Subspace
+    h_0: RowSpace
+    h_minus1: RowSpace
+    h_minus2: RowSpace
     i_minus1: tuple  # (e1, e2)
     i_1: tuple  # (e3, e4)
     i_0_basis: tuple  # vectors orthogonal to both hyperbolic planes
@@ -473,7 +431,7 @@ class GradedSplitting:
             return self.h_minus1
         if i == 2:
             return self.h_minus2
-        return zero_space(self.lattice)
+        return RowSpace(1 << self.lattice.dim)
 
     def dims(self):
         return (self.h_minus2.dim, self.h_minus1.dim, self.h_0.dim)
@@ -606,7 +564,7 @@ def cocharacter_conjugation_check(splitting, v):
     for i in (0, 1, 2):
         source = splitting.piece(i)
         target = splitting.piece(i - shift)
-        image = source.left_multiply(v)
+        image = left_multiply(v, source)
         containments.append((i, target.contains(image)))
     parity_ok = _parity_preserved(splitting)
     return CocharacterCheck(
@@ -614,38 +572,6 @@ def cocharacter_conjugation_check(splitting, v):
         containments=tuple(containments),
         parity_preserved=parity_ok,
     )
-
-
-def search_isotropic_vectors(lattice, height=3, limit=16):
-    """Convenience search for small integer isotropic vectors.
-
-    Enumerates coordinate vectors with entries in [-height, height]
-    (height <= 10) and returns up to ``limit`` of them, normalised so the
-    first nonzero coordinate is positive.  Scenario configs are expected to
-    supply their own vectors; this is only a helper for exploration.
-    """
-    if height < 1 or height > 10:
-        raise ComputationError("height must be between 1 and 10")
-    found = []
-    seen = set()
-    span = range(-height, height + 1)
-    for coords in itertools.product(span, repeat=lattice.dim):
-        if not any(coords):
-            continue
-        lead = next(c for c in coords if c)
-        if lead < 0:
-            continue
-        coords_f = [Fraction(c) for c in coords]
-        if lattice.quadratic(coords_f):
-            continue
-        key = tuple(coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        found.append(lattice.vector(coords_f))
-        if len(found) >= limit:
-            break
-    return found
 
 
 def _parity_preserved(splitting):
@@ -669,11 +595,10 @@ def _parity_preserved(splitting):
         e = a * b
         if e and e.parity() != 0:
             return False
-    monos = list(lattice.monomials())
     for i in range(lattice.dim):
-        for mono in monos:
-            flipped = (len(mono) + 1) % 2
-            for m in lattice._mul_basis((i,), mono):
-                if len(m) % 2 != flipped:
+        for mono in lattice.monomials():
+            flipped = (mono.bit_count() + 1) % 2
+            for m in lattice._mul_basis(1 << i, mono):
+                if m.bit_count() % 2 != flipped:
                     return False
     return True

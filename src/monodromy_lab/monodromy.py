@@ -148,6 +148,14 @@ class BlockGaloisElement:
         self.w = w
 
     @classmethod
+    def _from_valid(cls, p, n, d, diag, w):
+        """Build from blocks already reduced and checked (products and
+        inverses of valid elements), skipping the validation in __init__."""
+        g = object.__new__(cls)
+        g.p, g.n, g.d, g.diag, g.w = p, n, d, diag, w
+        return g
+
+    @classmethod
     def identity(cls, p, n, d):
         half = d // 2
         return cls(p, n, d, (1,) * half, ((0,) * half,) * half)
@@ -211,7 +219,7 @@ class BlockGaloisElement:
             )
             for i in range(half)
         )
-        return BlockGaloisElement(self.p, self.n, self.d, diag, w)
+        return self._from_valid(self.p, self.n, self.d, diag, w)
 
     def inverse(self):
         mod = self.modulus
@@ -221,7 +229,7 @@ class BlockGaloisElement:
             tuple((-dinv[i] * self.w[i][j]) % mod for j in range(half))
             for i in range(half)
         )
-        return BlockGaloisElement(self.p, self.n, self.d, dinv, w)
+        return self._from_valid(self.p, self.n, self.d, dinv, w)
 
     def commutator(self, other):
         """a^-1 b^-1 a b."""
