@@ -36,6 +36,7 @@ All linear algebra runs over Q with exact row reduction; n is capped at 6
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ComputationError
 from .linalg import RowSpace, nullspace, rank
@@ -436,6 +437,16 @@ class GradedSplitting:
     def dims(self):
         return (self.h_minus2.dim, self.h_minus1.dim, self.h_0.dim)
 
+    @cached_property
+    def _slot_spaces(self):
+        """(shift, span) for each nonempty one of I_-1, I_0 and I_1."""
+        slots = ((-1, self.i_minus1), (0, self.i_0_basis), (1, self.i_1))
+        return tuple(
+            (shift, RowSpace(self.lattice.dim, _span_rows(vectors)))
+            for shift, vectors in slots
+            if vectors
+        )
+
 
 def graded_splitting(filtration, e3, e4):
     """Split a type II filtration against the dual isotropic pair (e3, e4).
@@ -527,23 +538,14 @@ def _span_rows(vectors):
 
 
 def _weight_slot(splitting, coords):
-    lattice = splitting.lattice
     row = {i: c for i, c in enumerate(coords) if c}
-    slots = (
-        (-1, splitting.i_minus1),
-        (0, splitting.i_0_basis),
-        (1, splitting.i_1),
-    )
-    for shift, vectors in slots:
-        if not vectors:
-            continue
-        space = RowSpace(lattice.dim, _span_rows(vectors))
+    for shift, space in splitting._slot_spaces:
         if space.contains_row(row):
             return shift
     return None
 
 
-def cocharacter_conjugation_check(splitting, v):
+def cocharacter_conjugation_check(splitting, v, parity_ok=None):
     """Left multiplication by a homogeneous vector shifts the splitting by
     one weight step (down for the isotropic pair, up for its duals) and
     commutes with the even/odd grading.
@@ -551,7 +553,9 @@ def cocharacter_conjugation_check(splitting, v):
     Parity does not depend on v: Cl(V) is Z/2-graded by construction, so
     ``parity_preserved`` is certified once from the generators, by checking
     that each basis vector flips the parity of each monomial (see
-    ``_parity_preserved``), not by multiplying out every even product."""
+    ``parity_preserved``), not by multiplying out every even product.
+    Callers checking several v on one splitting pass that verdict as
+    ``parity_ok``; it is computed here when omitted."""
     coords = v.grade_one_coords()
     if coords is None or not any(coords):
         raise ComputationError("v must be a nonzero vector")
@@ -566,7 +570,8 @@ def cocharacter_conjugation_check(splitting, v):
         target = splitting.piece(i - shift)
         image = left_multiply(v, source)
         containments.append((i, target.contains(image)))
-    parity_ok = _parity_preserved(splitting)
+    if parity_ok is None:
+        parity_ok = parity_preserved(splitting)
     return CocharacterCheck(
         shift=shift,
         containments=tuple(containments),
@@ -574,7 +579,7 @@ def cocharacter_conjugation_check(splitting, v):
     )
 
 
-def _parity_preserved(splitting):
+def parity_preserved(splitting):
     """Even products of the splitting vectors act parity-preservingly.
 
     Cl(V) is Z/2-graded: its defining relations e_i e_j + e_j e_i = 2 B(e_i,

@@ -117,7 +117,7 @@ class WeierstrassModel:
     def __post_init__(self):
         field = self.a1.field
         for a in self.coefficients():
-            if a.field != field:
+            if a.field is not field:
                 raise ComputationError("model coefficients over different fields")
             lb = a.valuation_lower_bound()
             if lb is not INFINITY and lb < 0:

@@ -49,7 +49,7 @@ class TateLattice:
         if field.p != self.p:
             raise ComputationError("period field has the wrong characteristic")
         for q in self.periods:
-            if q.field != field:
+            if q.field is not field:
                 raise ComputationError("periods over different fields")
             if not q.known_nonzero or q.valuation() <= 0:
                 raise ComputationError("periods need determinable positive valuation")

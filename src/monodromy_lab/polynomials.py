@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, PrecisionError
+from .fields import FiniteFieldElement
 from .series import DEFAULT_TRUNCATION, INFINITY, PuiseuxSeries, dense_unit_inverse
 
 _RESIDUE_SEARCH_LIMIT = 1 << 16
@@ -92,7 +93,7 @@ class CoefficientSeries:
             for c in coeffs
         ]
         for c in coeffs:
-            if c.field != field:
+            if c.field is not field:
                 raise ComputationError("coefficient field mismatch")
         if x_trunc is None:
             while len(coeffs) > 1 and coeffs[-1].is_exact_zero:
@@ -165,7 +166,7 @@ class CoefficientSeries:
         return self + (-other)
 
     def _check(self, other):
-        if not isinstance(other, CoefficientSeries) or other.field != self.field:
+        if not isinstance(other, CoefficientSeries) or other.field is not self.field:
             raise ComputationError("coefficient series field mismatch")
 
     def __mul__(self, other):
@@ -412,10 +413,10 @@ def weierstrass_prepare(f, precision=None):
     for c in f.coeffs:
         row = [field.zero()] * n_slices
         scale = n_ram // c.n_ram
-        for e, coef in c.coeffs.items():
+        for e, code in c.coeffs.items():
             ee = e * scale
             if 0 <= ee < n_slices:
-                row[ee] = coef
+                row[ee] = FiniteFieldElement(field, code)
         F.append(row)
 
     fbar = [row[0] for row in F]
@@ -432,7 +433,10 @@ def weierstrass_prepare(f, precision=None):
 
     ubar = fbar[d:]
     # residue inverse of the unit part, to x-degree X
-    ubar_inv = dense_unit_inverse(ubar, X + 1)
+    ubar_inv = [
+        FiniteFieldElement(field, c)
+        for c in dense_unit_inverse(field, [c.code for c in ubar], X + 1)
+    ]
 
     width_u = X - d
     H = [[field.zero()] * n_slices for _ in range(d + 1)]

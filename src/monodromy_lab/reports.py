@@ -69,11 +69,18 @@ def emit_report(report, fmt="json"):
 
 
 def emit_error_report(scenario, error, fmt="json"):
-    """A deterministic error document for computation/precision failures."""
+    """A deterministic error document for computation/precision failures.
+
+    A ``PrecisionError`` that names the precision it needed carries it as
+    ``error.needed``.
+    """
     doc = {
         "error": {"type": type(error).__name__, "message": str(error)},
         "scenario": jsonable(scenario),
     }
+    needed = getattr(error, "needed", None)
+    if needed is not None:
+        doc["error"]["needed"] = jsonable(needed)
     if fmt == "text":
         return ("error: %s\n  %s\n" % (type(error).__name__, error)).encode("utf-8")
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -16,6 +16,7 @@ from .clifford import (
     filtration_type2,
     filtration_type3,
     graded_splitting,
+    parity_preserved,
 )
 from .errors import ComputationError, SchemaError
 from .fields import FiniteField
@@ -438,8 +439,9 @@ def _run_clifford(doc):
                 + [("I_1", splitting.i_1[0])]
             )
             all_ok = True
+            parity_ok = parity_preserved(splitting)
             for label, v in reps:
-                chk = cocharacter_conjugation_check(splitting, v)
+                chk = cocharacter_conjugation_check(splitting, v, parity_ok)
                 table.append(
                     {
                         "slot": label,

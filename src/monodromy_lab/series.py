@@ -5,6 +5,17 @@ A ``PuiseuxSeries`` holds finitely many exact coefficients of
 at exponents ``>= T`` are unknown, everything below ``T`` is exact.
 ``T = None`` means the stored terms are the whole series.
 
+``coeffs`` maps the integer e to the int code of c_e in its field (see
+``fields``); only nonzero codes at exponents below ``T`` are stored.
+``coefficient``, ``terms`` and ``__repr__`` wrap codes into
+``FiniteFieldElement`` values; arithmetic never does.  Over F_p a product
+accumulates plain int products per output exponent and reduces mod p once.
+
+Validation happens at the boundary: ``__init__`` coerces and checks every
+coefficient, while arithmetic results, whose codes are valid by
+construction, are built through ``_from_valid``, which only canonicalises
+the ramification index.
+
 Two zero-like states are kept apart:
 
 * exact zero -- no terms, ``T = None``; only literal constructors make it;
@@ -42,29 +53,78 @@ def _min_trunc(a, b):
     return min(a, b)
 
 
-def dense_unit_inverse(a, m):
-    """The first m coefficients of 1/a for a dense F_q list with a[0] != 0.
+def _cut(trunc, n):
+    """The least integer exponent on the 1/n grid at or above ``trunc``."""
+    return None if trunc is None else math.ceil(trunc * n)
+
+
+def dense_unit_inverse(field, a, m):
+    """The first m coefficients of 1/a for a dense list of codes with a[0] != 0.
 
     Solves b_k = -a_0^{-1} * sum_{j >= 1} a_j * b_{k-j}, visiting only the
-    nonzero a_j.
+    nonzero a_j; over F_p each sum is reduced mod p once.
     """
     if not m:
         return []
-    inv0 = a[0].inverse()
-    neg_inv0 = -inv0
+    inv0 = field.code_inv(a[0])
     support = [(j, c) for j, c in enumerate(a) if j and c]
-    zero = inv0.field.zero()
     b = [inv0]
+    if field.degree == 1:
+        p = field.p
+        neg_inv0 = p - inv0
+        for k in range(1, m):
+            acc = 0
+            for j, c in support:
+                if j > k:
+                    break
+                acc += c * b[k - j]
+            b.append(neg_inv0 * acc % p)
+        return b
+    add, mul = field.code_add, field.code_mul
+    neg_inv0 = field.code_neg(inv0)
     for k in range(1, m):
-        acc = None
+        acc = 0
         for j, c in support:
             if j > k:
                 break
             if b[k - j]:
-                term = c * b[k - j]
-                acc = term if acc is None else acc + term
-        b.append(zero if acc is None else neg_inv0 * acc)
+                acc = add(acc, mul(c, b[k - j]))
+        b.append(mul(neg_inv0, acc))
     return b
+
+
+def _code_product(field, a, b, cut):
+    """The map of nonzero codes of a * b at exponents below ``cut`` (None:
+    no bound), for two exponent -> code maps on one grid."""
+    if cut is None:
+        cut = max(a) + max(b) + 1
+    if field.degree == 1:
+        p = field.p
+        acc = {}
+        get = acc.get
+        for e1, c1 in a.items():
+            room = cut - e1
+            for e2, c2 in b.items():
+                if e2 < room:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+        out = {}
+        for e, c in acc.items():
+            c %= p
+            if c:
+                out[e] = c
+        return out
+    mul, add = field.code_mul, field.code_add
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        room = cut - e1
+        for e2, c2 in b.items():
+            if e2 < room:
+                e = e1 + e2
+                s = get(e)
+                out[e] = mul(c1, c2) if s is None else add(s, mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
 
 
 class PuiseuxSeries:
@@ -73,8 +133,9 @@ class PuiseuxSeries:
     __slots__ = ("field", "n_ram", "coeffs", "trunc")
 
     def __init__(self, field, coeffs, n_ram=1, trunc=None):
-        """Low-level constructor; ``coeffs`` maps integer e to the
-        coefficient of t**(e/n_ram).  Prefer the classmethod constructors.
+        """Validated constructor; ``coeffs`` maps integer e to the
+        coefficient of t**(e/n_ram): an element of ``field``, an int or a
+        coordinate list.  Prefer the classmethod constructors.
         """
         if n_ram < 1:
             raise ComputationError("ramification index must be >= 1")
@@ -84,44 +145,54 @@ class PuiseuxSeries:
         for e, c in coeffs.items():
             if not isinstance(c, FiniteFieldElement):
                 c = field.element(c)
-            elif c.field != field:
+            elif c.field is not field:
                 raise ComputationError("coefficient from a different field")
             if not c:
                 continue
             if trunc is not None and Fraction(e, n_ram) >= trunc:
                 continue
-            clean[int(e)] = c
+            clean[int(e)] = c.code
+        self._set(field, clean, n_ram, trunc)
+
+    def _set(self, field, coeffs, n_ram, trunc):
         # canonicalise the ramification index
-        g = n_ram
-        for e in clean:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g > 1:
-            clean = {e // g: c for e, c in clean.items()}
-            n_ram //= g
-        if not clean:
+        if not coeffs:
             n_ram = 1
+        elif n_ram > 1:
+            g = math.gcd(n_ram, *coeffs)
+            if g > 1:
+                coeffs = {e // g: c for e, c in coeffs.items()}
+                n_ram //= g
         self.field = field
         self.n_ram = n_ram
-        self.coeffs = clean
+        self.coeffs = coeffs
         self.trunc = trunc
+
+    @classmethod
+    def _from_valid(cls, field, coeffs, n_ram, trunc):
+        """A series from trusted parts: nonzero codes of ``field`` at
+        exponents below ``trunc``, a Fraction or None.  Skips ``__init__``'s
+        coercion and checks; only the ramification index is canonicalised."""
+        self = object.__new__(cls)
+        self._set(field, coeffs, n_ram, trunc)
+        return self
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, field):
         """The exact zero series."""
-        return cls(field, {}, 1, None)
+        return cls._from_valid(field, {}, 1, None)
 
     @classmethod
     def zero_at_precision(cls, field, trunc):
         """No known term below ``trunc``; not the exact zero."""
-        return cls(field, {}, 1, trunc)
+        return cls._from_valid(field, {}, 1, Fraction(trunc))
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, {0: field.element(c)}, 1, None)
+        code = field.element(c).code
+        return cls._from_valid(field, {0: code} if code else {}, 1, None)
 
     @classmethod
     def one(cls, field):
@@ -131,9 +202,10 @@ class PuiseuxSeries:
     def t_power(cls, field, exponent, coeff=1):
         """The exact monomial coeff * t**exponent."""
         exponent = Fraction(exponent)
-        return cls(
+        code = field.element(coeff).code
+        return cls._from_valid(
             field,
-            {exponent.numerator: field.element(coeff)},
+            {exponent.numerator: code} if code else {},
             exponent.denominator,
             None,
         )
@@ -207,26 +279,34 @@ class PuiseuxSeries:
                 % (exponent, self.trunc)
             )
         q, r = divmod(exponent.numerator * self.n_ram, exponent.denominator)
-        if r:
-            return self.field.zero()
-        return self.coeffs.get(q, self.field.zero())
+        return FiniteFieldElement(self.field, 0 if r else self.coeffs.get(q, 0))
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
+        field, n = self.field, self.n_ram
         return [
-            (Fraction(e, self.n_ram), c) for e, c in sorted(self.coeffs.items())
+            (Fraction(e, n), FiniteFieldElement(field, c))
+            for e, c in sorted(self.coeffs.items())
         ]
 
     def truncate(self, trunc):
         """Forget everything at exponents >= trunc."""
-        return PuiseuxSeries(
-            self.field, self.coeffs, self.n_ram, _min_trunc(self.trunc, trunc)
+        trunc = _min_trunc(self.trunc, trunc)
+        if trunc is None:
+            return self
+        trunc = Fraction(trunc)
+        cut = _cut(trunc, self.n_ram)
+        return PuiseuxSeries._from_valid(
+            self.field,
+            {e: c for e, c in self.coeffs.items() if e < cut},
+            self.n_ram,
+            trunc,
         )
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise ComputationError("characteristic/field mismatch")
 
     def _on_grid(self, n):
@@ -235,29 +315,41 @@ class PuiseuxSeries:
             return self.coeffs
         return {e * scale: c for e, c in self.coeffs.items()}
 
+    def _common_grid(self, other):
+        """(n, own codes, other's codes) on the lcm of the two grids."""
+        n, m = self.n_ram, other.n_ram
+        if n == m:
+            return n, self.coeffs, other.coeffs
+        n = n * m // math.gcd(n, m)
+        return n, self._on_grid(n), other._on_grid(n)
+
     def __add__(self, other):
+        field = self.field
         if isinstance(other, (int, FiniteFieldElement)):
-            other = PuiseuxSeries.constant(self.field, self.field.element(other))
+            other = PuiseuxSeries.constant(field, other)
         self._check_field(other)
-        n = self.n_ram * other.n_ram // math.gcd(self.n_ram, other.n_ram)
-        a = self._on_grid(n)
-        b = other._on_grid(n)
+        n, a, b = self._common_grid(other)
+        trunc = _min_trunc(self.trunc, other.trunc)
         out = dict(a)
+        add = field.code_add
         for e, c in b.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
-        return PuiseuxSeries(self.field, out, n, _min_trunc(self.trunc, other.trunc))
+            out[e] = c if s is None else add(s, c)
+        cut = _cut(trunc, n)
+        out = {e: c for e, c in out.items() if c and (cut is None or e < cut)}
+        return PuiseuxSeries._from_valid(field, out, n, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(
-            self.field, {e: -c for e, c in self.coeffs.items()}, self.n_ram, self.trunc
-        )
+        field = self.field
+        neg = field.code_neg
+        coeffs = {e: neg(c) for e, c in self.coeffs.items()}
+        return PuiseuxSeries._from_valid(field, coeffs, self.n_ram, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, FiniteFieldElement)):
-            other = PuiseuxSeries.constant(self.field, self.field.element(other))
+            other = PuiseuxSeries.constant(self.field, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -265,49 +357,40 @@ class PuiseuxSeries:
 
     def scale(self, c):
         """Multiply by a scalar from the coefficient field."""
-        c = self.field.element(c)
+        field = self.field
+        c = field.element(c).code
         if not c:
             # scalar zero keeps no information loss: exact zero
-            return PuiseuxSeries.zero(self.field)
-        return PuiseuxSeries(
-            self.field, {e: c * v for e, v in self.coeffs.items()}, self.n_ram, self.trunc
-        )
+            return PuiseuxSeries.zero(field)
+        mul = field.code_mul
+        coeffs = {e: mul(c, v) for e, v in self.coeffs.items()}
+        return PuiseuxSeries._from_valid(field, coeffs, self.n_ram, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, FiniteFieldElement)):
             return self.scale(other)
         self._check_field(other)
-        if self.is_exact_zero or other.is_exact_zero:
-            return PuiseuxSeries.zero(self.field)
+        field = self.field
+        ta, tb = self.trunc, other.trunc
+        if (ta is None and not self.coeffs) or (tb is None and not other.coeffs):
+            return PuiseuxSeries.zero(field)
         # product truncation: min(v(a)+T_b, v(b)+T_a), with the valuation
         # lower bound standing in for v on zero-at-precision factors
-        va = self.valuation_lower_bound()
-        vb = other.valuation_lower_bound()
-        if self.trunc is None and other.trunc is None:
+        if ta is None and tb is None:
             trunc = None
+        elif ta is None:
+            trunc = self.valuation_lower_bound() + tb
+        elif tb is None:
+            trunc = other.valuation_lower_bound() + ta
         else:
-            trunc = INFINITY
-            if other.trunc is not None:
-                trunc = min(trunc, va + other.trunc)
-            if self.trunc is not None:
-                trunc = min(trunc, vb + self.trunc)
-            trunc = Fraction(trunc)
+            trunc = min(
+                self.valuation_lower_bound() + tb, other.valuation_lower_bound() + ta
+            )
         if not self.coeffs or not other.coeffs:
-            return PuiseuxSeries(self.field, {}, 1, trunc)
-        n = self.n_ram * other.n_ram // math.gcd(self.n_ram, other.n_ram)
-        a = self._on_grid(n)
-        b = other._on_grid(n)
-        bound = None if trunc is None else trunc * n
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                if bound is not None and e >= bound:
-                    continue
-                s = out.get(e)
-                prod = c1 * c2
-                out[e] = prod if s is None else s + prod
-        return PuiseuxSeries(self.field, out, n, trunc)
+            return PuiseuxSeries._from_valid(field, {}, 1, trunc)
+        n, a, b = self._common_grid(other)
+        out = _code_product(field, a, b, _cut(trunc, n))
+        return PuiseuxSeries._from_valid(field, out, n, trunc)
 
     __rmul__ = __mul__
 
@@ -337,10 +420,14 @@ class PuiseuxSeries:
             raise PrecisionError(
                 "cannot invert: zero at precision %s" % self.trunc
             )
-        v = self.valuation()
-        lead = self.coeffs[min(self.coeffs)]
+        field = self.field
+        n = self.n_ram
+        low = min(self.coeffs)
+        v = Fraction(low, n)
         if len(self.coeffs) == 1 and self.trunc is None:
-            return PuiseuxSeries.t_power(self.field, -v, lead.inverse())
+            return PuiseuxSeries._from_valid(
+                field, {-low: field.code_inv(self.coeffs[low])}, n, None
+            )
         if self.trunc is not None:
             result_trunc = self.trunc - 2 * v
             if precision is not None:
@@ -350,18 +437,16 @@ class PuiseuxSeries:
                 precision if precision is not None else DEFAULT_TRUNCATION
             )
         # divide out t^v and invert the unit below bound = result_trunc + v
-        n = self.n_ram
-        v_scaled = v.numerator * (n // v.denominator)
         m = max(0, math.ceil((result_trunc + v) * n))
-        dense = [self.field.zero()] * m
+        dense = [0] * m
         for e, c in self.coeffs.items():
-            if e - v_scaled < m:
-                dense[e - v_scaled] = c
+            if e - low < m:
+                dense[e - low] = c
         out = {}
-        for e, c in enumerate(dense_unit_inverse(dense, m)):
+        for e, c in enumerate(dense_unit_inverse(field, dense, m)):
             if c:
-                out[e - v_scaled] = c
-        return PuiseuxSeries(self.field, out, n, result_trunc)
+                out[e - low] = c
+        return PuiseuxSeries._from_valid(field, out, n, result_trunc)
 
     def __truediv__(self, other):
         if isinstance(other, (int, FiniteFieldElement)):
@@ -374,22 +459,26 @@ class PuiseuxSeries:
         Coefficients pass through the inverse of Frobenius; exponents divide
         by p, raising the ramification index when they must.
         """
-        p = self.field.p
+        field = self.field
+        p = field.p
+        power, k = field.code_pow, p ** (field.degree - 1)
         if all(e % p == 0 for e in self.coeffs):
-            coeffs = {e // p: c.frobenius_inverse() for e, c in self.coeffs.items()}
+            coeffs = {e // p: power(c, k) for e, c in self.coeffs.items()}
             n = self.n_ram
         else:
-            coeffs = {e: c.frobenius_inverse() for e, c in self.coeffs.items()}
+            coeffs = {e: power(c, k) for e, c in self.coeffs.items()}
             n = self.n_ram * p
         trunc = None if self.trunc is None else self.trunc / p
-        return PuiseuxSeries(self.field, coeffs, n, trunc)
+        return PuiseuxSeries._from_valid(field, coeffs, n, trunc)
 
     def frobenius_power(self, k=1):
         """The p**k-th power, via c -> c**(p**k) and exponent scaling."""
-        q = self.field.p ** k
-        coeffs = {e * q: c ** q for e, c in self.coeffs.items()}
+        field = self.field
+        q = field.p ** k
+        power = field.code_pow
+        coeffs = {e * q: power(c, q) for e, c in self.coeffs.items()}
         trunc = None if self.trunc is None else self.trunc * q
-        return PuiseuxSeries(self.field, coeffs, self.n_ram, trunc)
+        return PuiseuxSeries._from_valid(field, coeffs, self.n_ram, trunc)
 
     # -- comparison -------------------------------------------------------
 
@@ -397,7 +486,7 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         return (
-            self.field == other.field
+            self.field is other.field
             and self.n_ram == other.n_ram
             and self.coeffs == other.coeffs
             and self.trunc == other.trunc
@@ -410,16 +499,14 @@ class PuiseuxSeries:
         self._check_field(other)
         bound = _min_trunc(self.trunc, other.trunc)
         bound = _min_trunc(bound, None if below is None else Fraction(below))
-        n = self.n_ram * other.n_ram // math.gcd(self.n_ram, other.n_ram)
-        a = self._on_grid(n)
-        b = other._on_grid(n)
+        n, a, b = self._common_grid(other)
         if bound is None:
             return a == b
-        cut = bound * n
+        cut = _cut(bound, n)
         for e in set(a) | set(b):
             if e >= cut:
                 continue
-            if a.get(e, self.field.zero()) != b.get(e, self.field.zero()):
+            if a.get(e, 0) != b.get(e, 0):
                 return False
         return True
 

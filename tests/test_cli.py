@@ -3,14 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from monodromy_lab import ComputationError
+from monodromy_lab import ComputationError, PrecisionError
 from monodromy_lab.cli import main
-from monodromy_lab.reports import Report, emit_report
+from monodromy_lab.reports import Report, emit_error_report, emit_report
 from monodromy_lab.scenarios import run_scenario
 
 DATA = resources.files("monodromy_lab") / "data"
@@ -136,6 +137,21 @@ def test_exit_code_precision_error(tmp_path, capsys):
     assert code == 4
     payload = json.loads(out)
     assert payload["error"]["type"] == "PrecisionError"
+    assert payload["error"]["needed"] == "1/2"  # the hull height at index 1
+
+
+def test_error_report_carries_needed_precision():
+    doc = {"kind": "polygon"}
+    with_needed = json.loads(
+        emit_error_report(doc, PrecisionError("too shallow", needed=Fraction(3)))
+    )
+    assert with_needed["error"] == {
+        "type": "PrecisionError",
+        "message": "too shallow",
+        "needed": "3",
+    }
+    without = json.loads(emit_error_report(doc, PrecisionError("too shallow")))
+    assert without["error"] == {"type": "PrecisionError", "message": "too shallow"}
 
 
 def _failing_report(doc):

@@ -8,13 +8,13 @@ from monodromy_lab import ComputationError
 from monodromy_lab.clifford import (
     CliffordElement,
     GramLattice,
-    _parity_preserved,
     cocharacter_conjugation_check,
     filtration_type2,
     filtration_type3,
     graded_splitting,
     left_ideal_image,
     left_multiply,
+    parity_preserved,
 )
 
 
@@ -324,6 +324,22 @@ def test_rebased_n3_cocharacter_containments():
     assert slots == ["I_-1", "I_0", "I_1"]
 
 
+def test_scenario_certifies_parity_once_per_splitting(monkeypatch):
+    from monodromy_lab import scenarios
+
+    calls = []
+
+    def counted(splitting):
+        calls.append(splitting)
+        return parity_preserved(splitting)
+
+    monkeypatch.setattr(scenarios, "parity_preserved", counted)
+    report = scenarios.run_scenario(REBASED_N3)
+    rows = report.result["cocharacter_table"]
+    assert len(rows) == 3 and all(row["parity_preserved"] for row in rows)
+    assert len(calls) == 1
+
+
 def _enumerative_parity_preserved(splitting):
     """Reference: multiply every even product of the splitting vectors by
     every monomial and read off the parity of each product."""
@@ -346,7 +362,7 @@ def test_parity_certificate_agrees_with_enumeration(which):
         s = _rebased_splitting()
     else:
         _, s = _standard_splitting(int(which[1]))
-    assert _parity_preserved(s) is _enumerative_parity_preserved(s) is True
+    assert parity_preserved(s) is _enumerative_parity_preserved(s) is True
 
 
 def test_parity_certificate_catches_a_wrong_parity_product(monkeypatch):

@@ -1,8 +1,10 @@
 import itertools
+import pickle
+import random
 
 import pytest
 
-from monodromy_lab import ComputationError, FiniteField
+from monodromy_lab import ComputationError, FiniteField, fields
 
 
 def test_prime_field_arithmetic():
@@ -116,3 +118,79 @@ def test_every_small_modulus_matches_trial_division(p, r):
     for low in itertools.product(range(p), repeat=r):
         modulus = list(low) + [1]
         assert _accepted(p, modulus) == _trial_division_irreducible(p, modulus), modulus
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def test_fields_are_interned_by_reduced_modulus():
+    assert FiniteField(3, [4, 3, 1]) is FiniteField(3, [1, 0, 1])
+    assert FiniteField(5) is FiniteField(5, [0, 1])
+
+
+def test_reducible_modulus_is_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ComputationError, match="reducible"):
+            FiniteField(3, [2, 0, 1])  # u^2 - 1 = (u - 1)(u + 1)
+
+
+def test_nonprime_characteristic_is_refused_and_never_cached():
+    for _ in range(2):
+        with pytest.raises(ComputationError, match="not prime"):
+            FiniteField(9, [0, 1])
+    assert not any(p == 9 for p, _ in fields._FIELDS)
+
+
+def test_elements_of_separately_constructed_equal_fields_mix():
+    u = FiniteField(3, [1, 0, 1]).generator()
+    w = FiniteField(3, [4, 0, 1]).element([1, 1])  # 1 + u
+    assert (u + w).coords == (1, 2)
+    assert (u * w).coords == (2, 1)  # u + u^2 = u - 1
+
+
+def test_pickled_field_is_the_interned_instance():
+    F9 = FiniteField(3, [1, 0, 1])
+    assert pickle.loads(pickle.dumps(F9)) is F9
+    x = pickle.loads(pickle.dumps(F9.element([2, 1])))
+    assert x.field is F9 and x == F9.element([2, 1])
+
+
+def _reference_mul(field, a, b):
+    """Schoolbook product of two coordinate tuples modulo pi."""
+    p, r, pi = field.p, field.degree, field.modulus
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, r - 1, -1):
+        c = prod[i]
+        for j in range(r + 1):
+            prod[i - r + j] -= c * pi[j]
+    return tuple(c % p for c in prod[:r])
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]), (3, [1, 2, 0, 1]), (5, [2, 0, 1])],
+)
+def test_table_arithmetic_matches_schoolbook(p, modulus):
+    field = FiniteField(p, modulus)
+    elems = list(field.elements())
+    for a in elems:
+        assert (-a).coords == tuple(-c % p for c in a.coords)
+        if a:
+            assert a * a.inverse() == field.one()
+        for b in elems:
+            assert (a + b).coords == tuple((x + y) % p for x, y in zip(a.coords, b.coords))
+            assert (a * b).coords == _reference_mul(field, a.coords, b.coords)
+
+
+def test_large_field_digit_arithmetic_matches_schoolbook():
+    field = FiniteField(2, [1, 0, 0, 1] + [0] * 13 + [1])  # q = 2^17, no tables
+    rng = random.Random(17)
+    for _ in range(50):
+        a = field.element([rng.randrange(2) for _ in range(17)])
+        b = field.element([rng.randrange(2) for _ in range(17)])
+        assert (a * b).coords == _reference_mul(field, a.coords, b.coords)
+        assert (a + b).coords == tuple(x ^ y for x, y in zip(a.coords, b.coords))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from monodromy_lab import (
     ComputationError,
     FiniteField,
+    FiniteFieldElement,
     INFINITY,
     PrecisionError,
     PuiseuxSeries,
 )
+from monodromy_lab.series import dense_unit_inverse
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -190,3 +193,153 @@ def test_valuation_additivity():
         if not (a.known_nonzero and b.known_nonzero):
             continue
         assert (a * b).valuation() == a.valuation() + b.valuation()
+
+
+# ---------------------------------------------------------------------------
+# the int-coded kernel against a schoolbook reference over field elements
+
+F4 = FiniteField(2, [1, 1, 1])
+F9 = FiniteField(3, [1, 0, 1])
+F25 = FiniteField(5, [2, 0, 1])
+F2_17 = FiniteField(2, [1, 0, 0, 1] + [0] * 13 + [1])
+
+
+def _ref_terms(terms, trunc):
+    """Drop zero coefficients and those at or above ``trunc``."""
+    return {e: c for e, c in terms.items() if c and (trunc is None or e < trunc)}
+
+
+def _ref_mul(a, b):
+    """The product rule spelled out term by term on FiniteFieldElements."""
+    ta, tb = dict(a.terms()), dict(b.terms())
+    if (not ta and a.trunc is None) or (not tb and b.trunc is None):
+        return {}, None
+    va = min(ta) if ta else a.trunc
+    vb = min(tb) if tb else b.trunc
+    bounds = []
+    if b.trunc is not None:
+        bounds.append(va + b.trunc)
+    if a.trunc is not None:
+        bounds.append(vb + a.trunc)
+    trunc = min(bounds) if bounds else None
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return _ref_terms(out, trunc), trunc
+
+
+def _ref_add(a, b):
+    trunc = min((t for t in (a.trunc, b.trunc) if t is not None), default=None)
+    out = dict(a.terms())
+    for e, c in b.terms():
+        out[e] = out[e] + c if e in out else c
+    return _ref_terms(out, trunc), trunc
+
+
+def _ref_unit_inverse(a, m):
+    """The first m coefficients of 1/a by the plain recurrence."""
+    inv0 = a[0].inverse()
+    b = [inv0]
+    for k in range(1, m):
+        acc = a[0].field.zero()
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc = acc + a[j] * b[k - j]
+        b.append(-(inv0 * acc))
+    return b
+
+
+def _ref_invert(a):
+    """1/a below T - 2v, on a's grid, for a truncated a with a known term."""
+    terms = dict(a.terms())
+    v = min(terms)
+    trunc = a.trunc - 2 * v
+    n = a.n_ram
+    m = max(0, math.ceil((trunc + v) * n))
+    zero = a.field.zero()
+    unit = [terms.get(v + Fraction(k, n), zero) for k in range(m)]
+    inv = _ref_unit_inverse(unit, m) if m else []
+    return _ref_terms({Fraction(k, n) - v: c for k, c in enumerate(inv)}, trunc), trunc
+
+
+def _kernel_random_series(rng, field, trunc):
+    n = rng.choice((1, 2, 3))
+    terms = {}
+    for _ in range(rng.randrange(1, 7)):
+        e = Fraction(rng.randrange(0, 4 * n), n)
+        terms[e] = field.element([rng.randrange(field.p) for _ in range(field.degree)])
+    return PuiseuxSeries.from_terms(field, terms, trunc=trunc)
+
+
+def _assert_matches(series, ref):
+    terms, trunc = ref
+    assert dict(series.terms()) == terms
+    assert series.trunc == trunc
+    n = 1
+    for e in terms:
+        n = n * e.denominator // math.gcd(n, e.denominator)
+    assert series.n_ram == n
+
+
+@pytest.mark.parametrize("field", [F2, F5, F4, F9], ids=repr)
+def test_kernel_matches_schoolbook_reference(field):
+    rng = random.Random(31 * field.order)
+    truncs = (None, None, Fraction(3), Fraction(7, 2), Fraction(8, 3))
+    ramified = set()
+    for _ in range(120):
+        a = _kernel_random_series(rng, field, rng.choice(truncs))
+        b = _kernel_random_series(rng, field, rng.choice(truncs))
+        ramified.update((a.n_ram, b.n_ram))
+        _assert_matches(a * b, _ref_mul(a, b))
+        _assert_matches(a + b, _ref_add(a, b))
+        if a.known_nonzero:
+            a_t = a if a.trunc is not None else a.truncate(Fraction(6))
+            _assert_matches(a_t.invert(), _ref_invert(a_t))
+    assert {2, 3} <= ramified
+
+
+@pytest.mark.parametrize("field", [F2, F5, F4, F9], ids=repr)
+def test_dense_unit_inverse_matches_reference(field):
+    rng = random.Random(field.order)
+    for _ in range(30):
+        length = rng.randrange(1, 9)
+        a = [field.element([rng.randrange(field.p) for _ in range(field.degree)])
+             for _ in range(length)]
+        if not a[0]:
+            a[0] = field.one()
+        m = rng.randrange(0, 12)
+        got = dense_unit_inverse(field, [c.code for c in a], m)
+        want = _ref_unit_inverse(a, m) if m else []
+        assert [FiniteFieldElement(field, c) for c in got] == want
+
+
+def test_kernel_product_over_a_field_without_tables():
+    rng = random.Random(2 ** 17)
+
+    def coeff():
+        return F2_17.element([rng.randrange(2) for _ in range(17)])
+
+    a = PuiseuxSeries.from_terms(F2_17, {0: coeff(), Fraction(1, 2): coeff(), 2: coeff()})
+    b = PuiseuxSeries.from_terms(F2_17, {1: coeff(), Fraction(3, 2): coeff()}, trunc=4)
+    _assert_matches(a * b, _ref_mul(a, b))
+    _assert_matches(a + b, _ref_add(a, b))
+
+
+@pytest.mark.parametrize("field", [F4, F9, F25], ids=repr)
+def test_coords_and_repr_are_the_digits_of_the_code(field):
+    p = field.p
+    for x in field.elements():
+        digits = tuple(x.code // p ** i % p for i in range(field.degree))
+        assert x.coords == digits
+        parts = []
+        for i in range(field.degree - 1, -1, -1):
+            c = digits[i]
+            if c:
+                mono = "" if i == 0 else "u" if i == 1 else "u^%d" % i
+                if not mono:
+                    parts.append(str(c))
+                else:
+                    parts.append(mono if c == 1 else "%d*%s" % (c, mono))
+        assert repr(x) == ("+".join(parts) or "0")
+        assert field.element(list(digits)) == x
