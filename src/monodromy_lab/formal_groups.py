@@ -8,6 +8,15 @@ classical z = -x/y, w = -1/y substitution: the curve becomes
 the chord through (z1, w(z1)), (z2, w(z2)) meets the curve in a third point,
 and composing with the formal negation gives F(z1, z2).
 
+``multiplication_series`` reaches [m](z) without that bivariate table:
+double-and-add from [1] = z, where each step runs the same chord algebra
+on univariate series.  With Z1 = [a](z) and Z2 = [b](z) the slope is
+division-free -- lambda = sum n w_n Z1^(n-1) when doubling, and
+lambda = sum w_n h_n with h_(n+1) = Z2 h_n + Z1^n when adding [1] = z --
+and the negation of the third point (z3, lambda z3 + nu) needs no
+composition.  Scenarios take [p] this way; ``ec_formal_group`` with
+``FormalGroupLaw.mult_by_int`` stays as the oracle it is checked against.
+
 ``p_decomposition`` writes [p](x) = g(x^p), Weierstrass-prepares g to its
 degree-p distinguished factor h (special fibre of height 2), and reads off
 the interior coefficient valuations.  ``valuation_ladder`` then iterates the
@@ -298,24 +307,24 @@ class FormalGroupLaw:
             result = doubled
         else:
             result = self.formal_sum(self.mult_by_int(m - 1), self.identity_series())
-        lin = result.coefficient(1)
-        want = self.field.element(m)
-        if (want and not lin.agrees_with(PuiseuxSeries.constant(self.field, want))) or (
-            not want and lin.known_nonzero
-        ):
-            raise ComputationError("linear coefficient of [%d] is not %d mod p" % (m, m))
+        _check_linear_coefficient(self.field, result.coefficient(1), m)
         return result
 
 
-def ec_formal_group(model, x_trunc=None):
-    """The formal group of an elliptic Weierstrass model, to total degree X.
+def _check_linear_coefficient(field, lin, m):
+    """[m](x) must start m x: refuse a linear coefficient that is not m mod p."""
+    want = field.element(m)
+    if (want and not lin.agrees_with(PuiseuxSeries.constant(field, want))) or (
+        not want and lin.known_nonzero
+    ):
+        raise ComputationError("linear coefficient of [%d] is not %d mod p" % (m, m))
 
-    X defaults to p^2 + p, enough for the [p]-decomposition with headroom.
-    The group-law axioms are checked on construction (associativity up to
-    degree ``_ASSOCIATIVITY_CHECK_CAP``, which keeps large-X builds affordable).
-    """
-    field = model.field
-    X = x_trunc if x_trunc is not None else field.p ** 2 + field.p
+
+def _truncation(model, x_trunc):
+    """The total degree X of a build (default p^2 + p), after the checks
+    every build makes first: X >= 4, then a certified discriminant."""
+    p = model.field.p
+    X = x_trunc if x_trunc is not None else p ** 2 + p
     if X < 4:
         raise ComputationError("formal group truncation must be at least 4")
     disc = model.discriminant()
@@ -323,41 +332,48 @@ def ec_formal_group(model, x_trunc=None):
         raise PrecisionError(
             "cannot certify the discriminant at precision %s" % disc.trunc
         )
+    return X
 
+
+def _w_series(model, bound):
+    """w(z) = z^3 + ... to degree ``bound``, as a 1-tuple-keyed map.
+
+    The (z, w) curve equation
+    w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3
+    fixes each coefficient from lower ones, since w has order 3:
+    w_n = [n = 3] + a1 w_(n-1) + a2 w_(n-2) + a3 (w^2)_n + a4 (w^2)_(n-1)
+    + a6 (w^3)_n, where (w^2)_n and (w^3)_n involve only w_i with i <= n - 3.
+    """
     a1, a2, a3, a4, a6 = model.coefficients()
-    one = PuiseuxSeries.one(field)
+    zero = PuiseuxSeries.zero(model.field)
+    w = [zero] * (bound + 1)
+    w2 = [zero] * (bound + 1)
+    w3 = [zero] * (bound + 1)
+    w[3] = PuiseuxSeries.one(model.field)
+    for n in range(4, bound + 1):
+        w2[n] = sum((w[i] * w[n - i] for i in range(3, n - 2)), zero)
+        w3[n] = sum((w2[i] * w[n - i] for i in range(6, n - 2)), zero)
+        w[n] = (
+            a1 * w[n - 1] + a2 * w[n - 2] + a3 * w2[n] + a4 * w2[n - 1] + a6 * w3[n]
+        )
+    return {(n,): c for n, c in enumerate(w) if not c.is_exact_zero}
 
-    # w(z) = z^3 + ... solving the (z, w) curve equation by iteration:
-    # w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3
-    w_bound = X + 2
-    c1 = {(1,): a1, (2,): a2}
-    c2 = {(0,): a3, (1,): a4}
-    c3 = {(0,): a6}
-    w = {}
-    for _ in range(w_bound):
-        w2 = truncated_product(w, w, w_bound)
-        w3 = truncated_product(w2, w, w_bound)
-        nxt = {(3,): one}
-        for c, power in ((c1, w), (c2, w2), (c3, w3)):
-            nxt = _madd(nxt, truncated_product(c, power, w_bound))
-        if nxt == w:
-            break
-        w = nxt
 
-    # lambda(z1, z2) = (w(z2) - w(z1)) / (z2 - z1), nu = w(z1) - lambda z1
-    lam = {}
-    for (n,), wn in w.items():
-        for a in range(n):
-            k = (a, n - 1 - a)
-            lam[k] = lam[k] + wn if k in lam else wn
-    w1 = {(n, 0): wn for (n,), wn in w.items()}
-    z1 = {(1, 0): one}
-    z2 = {(0, 1): one}
-    bound = X
-    nu = _madd(w1, _mscale(truncated_product(lam, z1, bound + 1), field.element(-1)))
+def _third_point(model, z1, z2, lam, nu, bound, nvars):
+    """z3 = -z1 - z2 - B/A: the third root of the curve on the chord
+    w = lam z + nu through z1 and z2, with
+
+        A = 1 + a2 lam + a4 lam^2 + a6 lam^3,
+        B = a1 lam + a3 lam^2 + a2 nu + 2 a4 lam nu + 3 a6 lam^2 nu.
+
+    Works on maps keyed by exponent tuples of length ``nvars``; A is a unit,
+    so its inverse is the only division.
+    """
+    a1, a2, a3, a4, a6 = model.coefficients()
+    minus = model.field.element(-1)
     lam_nu = truncated_product(lam, nu, bound)
     lam2 = truncated_product(lam, lam, bound)
-    big_a = _mone(field, 2)
+    big_a = _mone(model.field, nvars)
     for coef, term in ((a2, lam), (a4, lam2), (a6, truncated_product(lam2, lam, bound))):
         big_a = _madd(big_a, _mscale(term, coef))
     big_b = _madd(
@@ -370,22 +386,121 @@ def ec_formal_group(model, x_trunc=None):
             ),
         ),
     )
-    z3 = _madd(
-        _mscale(_madd(z1, z2), field.element(-1)),
+    return _madd(
+        _mscale(_madd(z1, z2), minus),
         _mscale(
             truncated_product(big_b, truncated_unit_inverse(big_a, bound), bound),
-            field.element(-1),
+            minus,
         ),
     )
 
-    # formal negation i(z) = -z * (1 - a1 z - a3 w(z))^{-1}
-    unit = _madd(
-        _mone(field, 1), _mscale(_madd({(1,): a1}, _mscale(w, a3)), field.element(-1))
-    )
-    neg = truncated_product({(1,): -one}, truncated_unit_inverse(unit, X - 1), X)
 
+def _negate(model, z, w, bound, nvars):
+    """The formal negation -z * (1 - a1 z - a3 w)^{-1} of the point (z, w)."""
+    a1, a3 = model.a1, model.a3
+    minus = model.field.element(-1)
+    unit = _madd(
+        _mone(model.field, nvars),
+        _mscale(_madd(_mscale(z, a1), _mscale(w, a3)), minus),
+    )
+    # z has positive order, so the inverse is needed one degree short
+    return truncated_product(
+        _mscale(z, minus), truncated_unit_inverse(unit, bound - 1), bound
+    )
+
+
+def ec_formal_group(model, x_trunc=None):
+    """The formal group of an elliptic Weierstrass model, to total degree X.
+
+    X defaults to p^2 + p, enough for the [p]-decomposition with headroom.
+    The group-law axioms are checked on construction (associativity up to
+    degree ``_ASSOCIATIVITY_CHECK_CAP``, which keeps large-X builds affordable).
+    This is the oracle for ``multiplication_series``, which reaches [m]
+    without the bivariate table.
+    """
+    field = model.field
+    X = _truncation(model, x_trunc)
+    one = PuiseuxSeries.one(field)
+    w = _w_series(model, X + 2)
+
+    # lambda(z1, z2) = (w(z2) - w(z1)) / (z2 - z1), nu = w(z1) - lambda z1
+    lam = {}
+    for (n,), wn in w.items():
+        for a in range(n):
+            k = (a, n - 1 - a)
+            lam[k] = lam[k] + wn if k in lam else wn
+    w1 = {(n, 0): wn for (n,), wn in w.items()}
+    z1 = {(1, 0): one}
+    z2 = {(0, 1): one}
+    nu = _madd(w1, _mscale(truncated_product(lam, z1, X + 1), field.element(-1)))
+    z3 = _third_point(model, z1, z2, lam, nu, X, 2)
+
+    neg = _negate(model, {(1,): one}, w, X, 1)
     table = _msubst(field, neg, X, (z3,), 2)
     return FormalGroupLaw(field, table, X, associativity_order=_ASSOCIATIVITY_CHECK_CAP)
+
+
+def multiplication_series(model, m, x_trunc=None):
+    """[m](z) for m >= 1, to degree X (default p^2 + p), from the curve.
+
+    Double-and-add from [1] = z: each step is one chord step on univariate
+    series (``_chord_step``), so no bivariate table is built.  The build
+    refuses what ``ec_formal_group`` refuses, in the same order, and checks
+    the linear coefficient of every [k] it passes through.
+    """
+    if m < 1:
+        raise ComputationError("multiplication_series needs m >= 1, got %d" % m)
+    field = model.field
+    X = _truncation(model, x_trunc)
+    w = _w_series(model, X + 2)
+    z = {(1,): PuiseuxSeries.one(field)}
+    zero = PuiseuxSeries.zero(field)
+    result, k = z, 1
+    for bit in bin(m)[3:]:
+        for z2 in (None, z) if bit == "1" else (None,):
+            result = _chord_step(model, w, result, z2, X)
+            k = 2 * k if z2 is None else k + 1
+            _check_linear_coefficient(field, result.get((1,), zero), k)
+    return CoefficientSeries.from_terms(field, result, X)
+
+
+def _chord_step(model, w, z1, z2, bound):
+    """[a + b](z) from z1 = [a](z) and z2 = [b](z), cut above degree ``bound``.
+
+    ``z2`` is None for doubling (b = a) or the map of [1] = z.  The slope is
+    division-free: lam = sum n w_n z1^(n-1) for doubling, and otherwise
+    lam = sum w_n h_n with h_1 = 1, h_(n+1) = z h_n + z1^n, where z h_n is a
+    shift.  Then nu = w(z1) - lam z1 from the same powers of z1, z3 from
+    ``_third_point``, and [a + b] = -z3 (1 - a1 z3 - a3 w3)^{-1} with
+    w3 = lam z3 + nu, so no series is composed.
+    """
+    field = model.field
+    one = PuiseuxSeries.one(field)
+    powers = [{(0,): one}]
+    for _ in range(bound):
+        powers.append(truncated_product(powers[-1], z1, bound))
+    lam = {}
+    w_z1 = {}
+    if z2 is None:
+        z2 = z1
+        for (n,), wn in w.items():
+            if n <= bound + 1 and n % field.p:  # n w_n vanishes when p | n
+                lam = _madd(lam, _mscale(powers[n - 1], wn.scale(n)))
+    else:
+        h = {(0,): one}
+        for n in range(1, bound + 2):
+            wn = w.get((n,))
+            if wn is not None:
+                lam = _madd(lam, _mscale(h, wn))
+            if n <= bound:
+                h = _madd({(e + 1,): c for (e,), c in h.items() if e < bound}, powers[n])
+    for (n,), wn in w.items():
+        if n <= bound:
+            w_z1 = _madd(w_z1, _mscale(powers[n], wn))
+    nu = _madd(w_z1, _mscale(truncated_product(lam, z1, bound), field.element(-1)))
+    z3 = _third_point(model, z1, z2, lam, nu, bound, 1)
+    w3 = _madd(truncated_product(lam, z3, bound), nu)
+    return _negate(model, z3, w3, bound, 1)
 
 
 # ---------------------------------------------------------------------------

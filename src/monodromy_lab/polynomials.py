@@ -682,13 +682,12 @@ def _expand(field, cs, target, n_cap, depth, top=False):
                 raise ComputationError(
                     "branch at slope %s lost multiplicity (%d of %d)" % (s, got, mult)
                 )
-            shift = PuiseuxSeries.t_power(field, s)
             base = PuiseuxSeries.constant(field, c)
             for r in tail:
                 if r.expansion is None:
                     out.append(PuiseuxRoot(s, r.multiplicity, None))
                     continue
-                expansion = shift * (base + r.expansion)
+                expansion = (base + r.expansion).shift(s)
                 out.append(PuiseuxRoot(s, r.multiplicity, expansion))
     return out
 
@@ -700,7 +699,7 @@ def _substitute(field, cs, s, c):
     for i, ci in enumerate(cs):
         if ci.is_exact_zero:
             continue
-        shifted = ci * PuiseuxSeries.t_power(field, s * i)
+        shifted = ci.shift(s * i)
         power = field.one()
         # j descending so c^(i-j) builds incrementally
         binomials = [math.comb(i, j) for j in range(i + 1)]
@@ -717,6 +716,5 @@ def _substitute(field, cs, s, c):
             continue
         w = lb if w is None else min(w, lb)
     if w:
-        shift = PuiseuxSeries.t_power(field, -w)
-        new = [ci * shift for ci in new]
+        new = [ci.shift(-w) for ci in new]
     return new

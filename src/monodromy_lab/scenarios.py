@@ -22,8 +22,8 @@ from .errors import ComputationError, SchemaError
 from .fields import FiniteField
 from .formal_groups import (
     WeierstrassModel,
-    ec_formal_group,
-    p_decomposition,
+    multiplication_series,
+    p_series_decomposition,
     valuation_ladder,
     verify_tower,
 )
@@ -250,8 +250,13 @@ def _run_formal_group(doc):
     n_max = _parse_int(doc.get("n_max", 4), "formal-group.n_max", 1)
     verify_levels = _parse_int(doc.get("verify_levels", 2), "formal-group.verify_levels", 0)
     model = WeierstrassModel(**coeffs)
-    fgl = ec_formal_group(model, x_trunc=precision["x"])
-    h2 = p_decomposition(fgl, precision=precision["t"])
+    p = field.p
+    p_series = multiplication_series(model, p, x_trunc=precision["x"])
+    if p_series.x_trunc < p * p:
+        raise ComputationError(
+            "formal group known to degree %d < p^2 = %d" % (p_series.x_trunc, p * p)
+        )
+    h2 = p_series_decomposition(p_series, p, precision=precision["t"])
     ladder = h2.ladder(n_max)
     result = {
         "p": field.p,
@@ -267,7 +272,7 @@ def _run_formal_group(doc):
             "multisets": [[[v, m] for v, m in ms] for ms in report.multisets],
         }
         assertions["oracle_matches_ladder"] = True
-    used = {"t": precision["t"], "x": fgl.x_trunc, "n_cap": precision["n_cap"]}
+    used = {"t": precision["t"], "x": p_series.x_trunc, "n_cap": precision["n_cap"]}
     return result, assertions, used
 
 

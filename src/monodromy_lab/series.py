@@ -366,6 +366,16 @@ class PuiseuxSeries:
         coeffs = {e: mul(c, v) for e, v in self.coeffs.items()}
         return PuiseuxSeries._from_valid(field, coeffs, self.n_ram, self.trunc)
 
+    def shift(self, exponent):
+        """The exact product with t**exponent: codes move on the grid and the
+        truncation moves with them."""
+        exponent = Fraction(exponent)
+        n = self.n_ram * exponent.denominator // math.gcd(self.n_ram, exponent.denominator)
+        step = exponent.numerator * (n // exponent.denominator)
+        coeffs = {e + step: c for e, c in self._on_grid(n).items()}
+        trunc = None if self.trunc is None else self.trunc + exponent
+        return PuiseuxSeries._from_valid(self.field, coeffs, n, trunc)
+
     def __mul__(self, other):
         if isinstance(other, (int, FiniteFieldElement)):
             return self.scale(other)

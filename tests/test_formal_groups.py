@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -10,25 +12,32 @@ from monodromy_lab import (
     INFINITY,
     LadderMismatchError,
     NotHeightTwoError,
+    PrecisionError,
     PuiseuxSeries,
 )
+from monodromy_lab import formal_groups, scenarios
 from monodromy_lab.formal_groups import (
     FormalGroupLaw,
     LadderLevel,
     ValuationLadder,
     WeierstrassModel,
     ec_formal_group,
+    multiplication_series,
     p_decomposition,
     p_series_decomposition,
     valuation_ladder,
     verify_ladder,
     verify_tower,
 )
-from monodromy_lab.polynomials import CoefficientSeries
+from monodromy_lab.formal_groups import _madd, _w_series
+from monodromy_lab.polynomials import CoefficientSeries, truncated_product
+from monodromy_lab.reports import emit_error_report
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
+F4 = FiniteField(2, [1, 1, 1])
+F9 = FiniteField(3, [1, 0, 1])
 
 
 def t(field, e=1, c=1):
@@ -150,6 +159,145 @@ def test_add_mult_compatibility_randomised(igusa_curve):
 def test_mult_by_negative_int(igusa_curve):
     neg = igusa_curve.mult_by_int(-1)
     assert neg.agrees_with(igusa_curve.inverse_series())
+
+
+# -- [m] from the curve, against the bivariate oracle ---------------------------
+
+
+def _cross_check_models():
+    return {
+        "F2-a1-a3": WeierstrassModel.from_ints(
+            F2, a1=t(F2) + t(F2, 2), a2=t(F2), a3=1 + t(F2, 3), a6=t(F2)
+        ),
+        "F3": WeierstrassModel.from_ints(F3, a2=t(F3), a4=1, a6=t(F3, 2, 2)),
+        "F5": WeierstrassModel.from_ints(F5, a2=t(F5, 2), a4=t(F5, 1, 2), a6=1 + t(F5, 3)),
+        "F4": WeierstrassModel.from_ints(F4, a1=t(F4, 1, [0, 1]), a3=1, a6=t(F4, 2)),
+        "F9": WeierstrassModel.from_ints(F9, a2=t(F9, 1, [1, 1]), a4=1, a6=t(F9)),
+    }
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_w_series_solves_the_curve_equation(truncated):
+    # both builds share w(z), so check it against the (z, w) equation itself:
+    # w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3 to the bound
+    models = list(_cross_check_models().values())
+    if truncated:
+        models = [
+            WeierstrassModel(*(a.truncate(3 + i) for i, a in enumerate(m.coefficients())))
+            for m in models
+        ]
+    for model in models:
+        a1, a2, a3, a4, a6 = model.coefficients()
+        bound = 14
+        w = _w_series(model, bound)
+        w2 = truncated_product(w, w, bound)
+        rhs = {(3,): PuiseuxSeries.one(model.field)}
+        for c, power in (
+            ({(1,): a1, (2,): a2}, w),
+            ({(0,): a3, (1,): a4}, w2),
+            ({(0,): a6}, truncated_product(w2, w, bound)),
+        ):
+            rhs = _madd(rhs, truncated_product(c, power, bound))
+        assert rhs == w
+
+
+@pytest.mark.parametrize("name", sorted(_cross_check_models()))
+def test_multiplication_series_matches_the_oracle(name):
+    model = _cross_check_models()[name]
+    p = model.field.p
+    x = max(4, p * p)
+    fgl = ec_formal_group(model, x)
+    for m in sorted({2, 3, 4, p}):
+        got = multiplication_series(model, m, x)
+        want = fgl.mult_by_int(m)
+        assert got.x_trunc == want.x_trunc == x
+        assert got.coeffs == want.coeffs, (name, m)
+
+
+def test_multiplication_series_matches_the_oracle_on_a_dense_p5_model():
+    # y^2 = x^3 + t x^2 + x + t^2, the frontier model, at X = p^2 + p = 30
+    model = WeierstrassModel.from_ints(F5, a2=t(F5), a4=1, a6=t(F5, 2))
+    got = multiplication_series(model, 5)
+    want = ec_formal_group(model).mult_by_int(5)
+    assert got.x_trunc == want.x_trunc == 30
+    assert got.coeffs == want.coeffs
+
+
+def test_multiplication_series_agrees_on_a_truncated_model(igusa_curve):
+    model = WeierstrassModel.from_ints(F2, a1=t(F2).truncate(12), a3=1)
+    for m in (2, 3, 4):
+        got = multiplication_series(model, m)
+        assert any(not c.is_exact for c in got.coeffs)
+        assert got.agrees_with(ec_formal_group(model).mult_by_int(m))
+        assert got.agrees_with(igusa_curve.mult_by_int(m))
+
+
+def test_multiplication_series_of_the_additive_cusp():
+    # y^2 = x^3 has F(x, y) = x + y exactly, so [p] = 0 and [m] = m x
+    model = WeierstrassModel.from_ints(F3)
+    assert all(c.is_exact_zero for c in multiplication_series(model, 3).coeffs)
+    four = multiplication_series(model, 4)
+    assert four.coefficient(1).agrees_with(PuiseuxSeries.one(F3))
+    assert all(c.is_exact_zero for c in four.coeffs[2:])
+
+
+def test_multiplication_series_refuses_like_the_oracle():
+    # X < 4 first, then the discriminant
+    model = WeierstrassModel.from_ints(F5, a4=PuiseuxSeries.zero_at_precision(F5, 2))
+    for build in (lambda x: ec_formal_group(model, x), lambda x: multiplication_series(model, 5, x)):
+        with pytest.raises(ComputationError, match="at least 4"):
+            build(3)
+        with pytest.raises(PrecisionError, match="discriminant at precision 6"):
+            build(30)
+    with pytest.raises(ComputationError, match="m >= 1"):
+        multiplication_series(WeierstrassModel.from_ints(F3, a4=1), 0)
+
+
+# Error documents of formal-group scenarios, pinned from the build through
+# the bivariate law: X < 4, X < p^2, and the cusp y^2 = x^3 (discriminant
+# exactly zero), whose additive [3] = 0 has no Weierstrass degree.
+_ERROR_PARITY = (
+    (
+        {"kind": "formal-group", "field": {"p": 2}, "model": {"a1": {"1": 1}, "a3": {"0": 1}}, "precision": {"x": 3}},
+        b'{"error":{"message":"formal group truncation must be at least 4","type":"ComputationError"},"scenario":{"field":{"p":2},"kind":"formal-group","model":{"a1":{"1":1},"a3":{"0":1}},"precision":{"x":3}}}\n',
+    ),
+    (
+        {"kind": "formal-group", "field": {"p": 3}, "model": {"a2": {"1": 1}, "a4": {"0": 1}}, "precision": {"x": 8}},
+        b'{"error":{"message":"formal group known to degree 8 < p^2 = 9","type":"ComputationError"},"scenario":{"field":{"p":3},"kind":"formal-group","model":{"a2":{"1":1},"a4":{"0":1}},"precision":{"x":8}}}\n',
+    ),
+    (
+        {"kind": "formal-group", "field": {"p": 3}, "model": {}},
+        b'{"error":{"message":"Weierstrass degree exceeds the x-truncation 4 (reduction vanishes up to that order)","type":"ComputationError"},"scenario":{"field":{"p":3},"kind":"formal-group","model":{}}}\n',
+    ),
+)
+
+
+@pytest.mark.parametrize("doc, expected", _ERROR_PARITY)
+def test_formal_group_scenario_error_reports_are_unchanged(doc, expected):
+    with pytest.raises(ComputationError) as info:
+        scenarios.run_scenario(doc)
+    assert emit_error_report(doc, info.value) == expected
+
+
+def test_formal_group_scenarios_do_not_build_the_bivariate_law(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the bivariate group law was built")
+
+    for module in (formal_groups, scenarios):
+        for name in ("ec_formal_group", "p_decomposition"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    shipped = resources.files("monodromy_lab") / "data" / "scenarios" / "elliptic_igusa_f2.json"
+    p3 = {
+        "kind": "formal-group",
+        "field": {"p": 3},
+        "model": {"a2": {"1": 1}, "a4": {"0": 1}, "a6": {"2": 2}},
+    }
+    for doc in (json.loads(shipped.read_text()), p3):
+        report = scenarios.run_scenario(doc)
+        assert report.ok
+    assert report.result["m"] == 1
+    assert report.provenance["precision"]["x"] == 12
 
 
 # -- [p]-decomposition ---------------------------------------------------------

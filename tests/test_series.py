@@ -27,6 +27,21 @@ def test_monomial_product():
     assert t(F2) * t(F2) == t(F2, 2)
 
 
+def test_shift_is_the_product_with_a_monomial():
+    F4 = FiniteField(2, [1, 1, 1])
+    series = [
+        PuiseuxSeries(F3, {0: 1, 1: 2, 4: 1}, n_ram=2, trunc=Fraction(5, 2)),
+        PuiseuxSeries(F3, {1: 1, 2: 2}, n_ram=3),
+        PuiseuxSeries(F4, {0: [0, 1], 3: [1, 1]}, trunc=4),
+        PuiseuxSeries.zero_at_precision(F3, Fraction(7, 3)),
+        PuiseuxSeries.zero(F3),
+    ]
+    for s in series:
+        for e in (0, 2, Fraction(1, 2), Fraction(-5, 6), Fraction(3, 4)):
+            want = s * PuiseuxSeries.t_power(s.field, e)
+            assert s.shift(e) == want, (s, e)
+
+
 def test_freshmans_dream_char2():
     a = PuiseuxSeries.from_terms(F2, {0: 1, 1: 1})  # 1 + t
     sq = a * a
