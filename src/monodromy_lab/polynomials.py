@@ -8,8 +8,9 @@ The tools that live here:
   multiplies through it (1-tuple keys) and so does the bivariate
   formal-group build;
 * ``weierstrass_prepare`` -- factor a power series f(x) over R = F_q[[t]]
-  (or a ramified extension) as unit * monic distinguished polynomial, by
-  slicewise successive approximation in the t-direction;
+  (or a ramified extension) as unit * monic distinguished polynomial,
+  lifting one t-slice at a time from the residual; a slice is a map
+  x-degree -> code, multiplied and summed by the code kernel of ``series``;
 * ``newton_polygon`` / ``root_valuations`` -- exact lower convex hulls of
   (index, valuation) data and the root-valuation multisets they encode;
 * ``puiseux_roots`` -- a Newton-Puiseux iteration that actually expands the
@@ -27,8 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, PrecisionError
-from .fields import FiniteFieldElement
-from .series import DEFAULT_TRUNCATION, INFINITY, PuiseuxSeries, dense_unit_inverse
+from .series import (
+    DEFAULT_TRUNCATION,
+    INFINITY,
+    PuiseuxSeries,
+    code_product,
+    code_sum,
+    dense_unit_inverse,
+)
 
 _RESIDUE_SEARCH_LIMIT = 1 << 16
 _MAX_EXPANSION_DEPTH = 512
@@ -364,7 +371,9 @@ def weierstrass_prepare(f, precision=None):
     d is the Weierstrass degree of f mod the maximal ideal; the iteration
     lifts the residue factorization slice by slice in the t-direction up to
     the guaranteed truncation (min of the coefficient truncations, capped by
-    ``precision``; exact inputs use ``precision`` or the default).
+    ``precision``; exact inputs use ``precision`` or the default).  An
+    x-truncated f is factored as the polynomial of its known coefficients:
+    those above ``x_trunc`` count as zero.
     """
     field = f.field
     X = f.x_trunc if f.x_trunc is not None else len(f.coeffs) - 1
@@ -408,20 +417,16 @@ def weierstrass_prepare(f, precision=None):
         raise PrecisionError("no positive t-precision available for preparation")
     n_slices = math.ceil(t_star * n_ram)
 
-    # dense slice table F[i][e], e meaning exponent e/n_ram
-    F = []
-    for c in f.coeffs:
-        row = [field.zero()] * n_slices
+    # f as t-slices: slice k (exponent k/n_ram) maps x-degree -> code
+    f_slices = [{} for _ in range(n_slices)]
+    for i, c in enumerate(f.coeffs):
         scale = n_ram // c.n_ram
         for e, code in c.coeffs.items():
-            ee = e * scale
-            if 0 <= ee < n_slices:
-                row[ee] = FiniteFieldElement(field, code)
-        F.append(row)
+            if e * scale < n_slices:
+                f_slices[e * scale][i] = code
 
-    fbar = [row[0] for row in F]
-    d = next((i for i, c in enumerate(fbar) if c), None)
-    if d is None:
+    fbar = f_slices[0]
+    if not fbar:
         if f.x_trunc is None:
             raise ComputationError(
                 "input is 0 modulo the maximal ideal: no Weierstrass degree"
@@ -430,80 +435,51 @@ def weierstrass_prepare(f, precision=None):
             "Weierstrass degree exceeds the x-truncation %d "
             "(reduction vanishes up to that order)" % X
         )
+    d = min(fbar)
+    cut = X + 1
+    ubar = {i - d: c for i, c in fbar.items()}
+    ubar_inv = dense_unit_inverse(field, [ubar.get(j, 0) for j in range(d)], d)
+    ubar_inv = {j: c for j, c in enumerate(ubar_inv) if c}
+    neg = field.code_neg
 
-    ubar = fbar[d:]
-    # residue inverse of the unit part, to x-degree X
-    ubar_inv = [
-        FiniteFieldElement(field, c)
-        for c in dense_unit_inverse(field, [c.code for c in ubar], X + 1)
-    ]
+    def minus(a, b):
+        return code_sum(field, (a, {i: neg(c) for i, c in b.items()}), cut)
+
+    # h = x^d + sum_k h_k t^(k/n_ram) and u = ubar + sum_k u_k t^(k/n_ram),
+    # k >= 1; slice k of f = u*h reads rho_k = ubar h_k + u_k x^d, which has
+    # exactly one solution with deg h_k < d and deg u_k <= X - d
+    h_slices = [{} for _ in range(n_slices)]
+    u_slices = [ubar] + [{} for _ in range(1, n_slices)]
+    for k in range(1, n_slices):
+        known = code_sum(
+            field,
+            (
+                code_product(field, u_slices[a], h_slices[k - a], cut)
+                for a in range(1, k)
+                if u_slices[a] and h_slices[k - a]
+            ),
+        )
+        rho = minus(f_slices[k], known)
+        h_slices[k] = code_product(field, ubar_inv, rho, d)
+        rest = minus(rho, code_product(field, ubar, h_slices[k], cut))
+        u_slices[k] = {i - d: c for i, c in rest.items()}
+
+    def _coefficients(slices, count):
+        columns = [{} for _ in range(count)]
+        for k, row in enumerate(slices):
+            for j, c in row.items():
+                columns[j][k] = c
+        return [
+            PuiseuxSeries._from_valid(field, col, n_ram, t_star) for col in columns
+        ]
 
     width_u = X - d
-    H = [[field.zero()] * n_slices for _ in range(d + 1)]
-    H[d][0] = field.one()
-    U = [[field.zero()] * n_slices for _ in range(width_u + 1)]
-    for j, c in enumerate(ubar):
-        U[j][0] = c
-    # residual R = f - u*h; slice 0 vanishes by construction
-    R = [row[:] for row in F]
-    for i in range(len(R)):
-        R[i][0] = field.zero()
-
-    for k in range(1, n_slices):
-        rho = [R[i][k] if i < len(R) else field.zero() for i in range(X + 1)]
-        if not any(rho):
-            continue
-        dh = []
-        for j in range(d):
-            acc = field.zero()
-            for a in range(j + 1):
-                if ubar_inv[a] and rho[j - a]:
-                    acc = acc + ubar_inv[a] * rho[j - a]
-            dh.append(acc)
-        # du = (rho - ubar*dh) shifted down by x^d
-        tmp = rho[:]
-        for a, ub in enumerate(ubar):
-            if not ub:
-                continue
-            for j, dhj in enumerate(dh):
-                if dhj and a + j <= X:
-                    tmp[a + j] = tmp[a + j] - ub * dhj
-        du = tmp[d:]
-        # update h, then subtract du*h_new + u_old*dh from the residual
-        for j, dhj in enumerate(dh):
-            if dhj:
-                H[j][k] = H[j][k] + dhj
-        for jp, dup in enumerate(du):
-            if not dup:
-                continue
-            for jh in range(d + 1):
-                col = H[jh]
-                tgt = R[jp + jh]
-                for e in range(min(n_slices - k, k + 1)):
-                    if col[e]:
-                        tgt[k + e] = tgt[k + e] - dup * col[e]
-        for jp in range(width_u + 1):
-            for j, dhj in enumerate(dh):
-                if not dhj:
-                    continue
-                tgt = R[jp + j]
-                col = U[jp]
-                for e in range(min(n_slices - k, k)):
-                    if col[e]:
-                        tgt[k + e] = tgt[k + e] - col[e] * dhj
-        for jp, dup in enumerate(du):
-            if dup:
-                U[jp][k] = U[jp][k] + dup
-
-    def _series(row, exact_lead=False):
-        coeffs = {e: c for e, c in enumerate(row) if c}
-        return PuiseuxSeries(field, coeffs, n_ram, None if exact_lead else t_star)
-
-    h_coeffs = [_series(H[j]) for j in range(d)] + [PuiseuxSeries.one(field)]
-    u_coeffs = [_series(U[j]) for j in range(width_u + 1)]
+    h_coeffs = _coefficients(h_slices, d) + [PuiseuxSeries.one(field)]
     distinguished = CoefficientSeries(field, h_coeffs, None)
     unit = CoefficientSeries(
-        field, u_coeffs, None if f.x_trunc is None and width_u == 0 else width_u
+        field,
+        _coefficients(u_slices, width_u + 1),
+        None if f.x_trunc is None and width_u == 0 else width_u,
     )
     return PreparedFactorization(
         unit=unit, distinguished=distinguished, degree=d, trunc=t_star

@@ -252,6 +252,8 @@ def _run_formal_group(doc):
     model = WeierstrassModel(**coeffs)
     p = field.p
     p_series = multiplication_series(model, p, x_trunc=precision["x"])
+    if model.discriminant().is_exact_zero:
+        raise ComputationError("singular model: the discriminant is exactly zero")
     if p_series.x_trunc < p * p:
         raise ComputationError(
             "formal group known to degree %d < p^2 = %d" % (p_series.x_trunc, p * p)

@@ -11,6 +11,11 @@ at exponents ``>= T`` are unknown, everything below ``T`` is exact.
 ``FiniteFieldElement`` values; arithmetic never does.  Over F_p a product
 accumulates plain int products per output exponent and reduces mod p once.
 
+The arithmetic runs on a public kernel over bare exponent -> code maps:
+``code_sum``, ``code_product`` (both cut below an exponent bound) and
+``dense_unit_inverse``.  Other modules use it directly when their data is
+not a series in t, e.g. the x-slices of a Weierstrass preparation.
+
 Validation happens at the boundary: ``__init__`` coerces and checks every
 coefficient, while arithmetic results, whose codes are valid by
 construction, are built through ``_from_valid``, which only canonicalises
@@ -93,7 +98,20 @@ def dense_unit_inverse(field, a, m):
     return b
 
 
-def _code_product(field, a, b, cut):
+def code_sum(field, maps, cut=None):
+    """The map of nonzero codes of the sum of exponent -> code maps on one
+    grid, at exponents below ``cut`` (None: no bound)."""
+    maps = iter(maps)
+    out = dict(next(maps, {}))
+    add = field.code_add
+    for b in maps:
+        for e, c in b.items():
+            s = out.get(e)
+            out[e] = c if s is None else add(s, c)
+    return {e: c for e, c in out.items() if c and (cut is None or e < cut)}
+
+
+def code_product(field, a, b, cut):
     """The map of nonzero codes of a * b at exponents below ``cut`` (None:
     no bound), for two exponent -> code maps on one grid."""
     if cut is None:
@@ -330,13 +348,7 @@ class PuiseuxSeries:
         self._check_field(other)
         n, a, b = self._common_grid(other)
         trunc = _min_trunc(self.trunc, other.trunc)
-        out = dict(a)
-        add = field.code_add
-        for e, c in b.items():
-            s = out.get(e)
-            out[e] = c if s is None else add(s, c)
-        cut = _cut(trunc, n)
-        out = {e: c for e, c in out.items() if c and (cut is None or e < cut)}
+        out = code_sum(field, (a, b), _cut(trunc, n))
         return PuiseuxSeries._from_valid(field, out, n, trunc)
 
     __radd__ = __add__
@@ -399,7 +411,7 @@ class PuiseuxSeries:
         if not self.coeffs or not other.coeffs:
             return PuiseuxSeries._from_valid(field, {}, 1, trunc)
         n, a, b = self._common_grid(other)
-        out = _code_product(field, a, b, _cut(trunc, n))
+        out = code_product(field, a, b, _cut(trunc, n))
         return PuiseuxSeries._from_valid(field, out, n, trunc)
 
     __rmul__ = __mul__

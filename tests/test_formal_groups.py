@@ -254,8 +254,9 @@ def test_multiplication_series_refuses_like_the_oracle():
 
 
 # Error documents of formal-group scenarios, pinned from the build through
-# the bivariate law: X < 4, X < p^2, and the cusp y^2 = x^3 (discriminant
-# exactly zero), whose additive [3] = 0 has no Weierstrass degree.
+# the bivariate law: X < 4 and X < p^2.  The cusp y^2 = x^3 (discriminant
+# exactly zero) is refused as a singular model before its additive [3] = 0
+# reaches the preparation.
 _ERROR_PARITY = (
     (
         {"kind": "formal-group", "field": {"p": 2}, "model": {"a1": {"1": 1}, "a3": {"0": 1}}, "precision": {"x": 3}},
@@ -267,7 +268,7 @@ _ERROR_PARITY = (
     ),
     (
         {"kind": "formal-group", "field": {"p": 3}, "model": {}},
-        b'{"error":{"message":"Weierstrass degree exceeds the x-truncation 4 (reduction vanishes up to that order)","type":"ComputationError"},"scenario":{"field":{"p":3},"kind":"formal-group","model":{}}}\n',
+        b'{"error":{"message":"singular model: the discriminant is exactly zero","type":"ComputationError"},"scenario":{"field":{"p":3},"kind":"formal-group","model":{}}}\n',
     ),
 )
 

@@ -23,6 +23,8 @@ from monodromy_lab.polynomials import (
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
+F4 = FiniteField(2, [1, 1, 1])
+F9 = FiniteField(3, [1, 0, 1])
 
 
 def t(field, e=1, c=1):
@@ -212,25 +214,58 @@ def test_prepare_degree_beyond_truncation_errors():
 
 def test_prepare_identity_randomised():
     rng = random.Random(404)
-    for _ in range(60):
-        field = rng.choice((F2, F3, F5))
+    for _ in range(80):
+        field = rng.choice((F2, F3, F5, F4, F9))
+        elements = list(field.elements())
         d = rng.randrange(1, 4)
-        X = d + rng.randrange(1, 4)
+        X = d + rng.randrange(0, 4)
         coeffs = []
         for i in range(X + 1):
-            terms = {}
+            n_ram = rng.choice((1, 2, 3))
             lo = 0 if i >= d else 1
-            for e in range(lo, 5):
-                c = rng.randrange(field.p)
-                if c:
-                    terms[e] = c
-            if i == d and 0 not in terms:
-                terms[0] = 1
-            coeffs.append(PuiseuxSeries.from_terms(field, terms))
-        f = CoefficientSeries(field, coeffs, x_trunc=X)
+            terms = {e: rng.choice(elements) for e in range(lo, 5 * n_ram)}
+            if i == d:
+                terms[0] = rng.choice(elements[1:])
+            trunc = None
+            if rng.random() < 0.3:
+                trunc = Fraction(rng.randrange(n_ram, 8 * n_ram), n_ram)
+            coeffs.append(PuiseuxSeries(field, terms, n_ram, trunc))
+        f = CoefficientSeries(field, coeffs, x_trunc=rng.choice((X, None)))
+        X = f.x_trunc if f.x_trunc is not None else len(f.coeffs) - 1
         prep = weierstrass_prepare(f, precision=10)
         assert prep.degree == d
-        assert (prep.unit * prep.distinguished).agrees_with(f)
+        h = prep.distinguished
+        assert h.degree() == d and h.coefficient(d) == one(field)
+        for j in range(d):
+            assert h.coefficient(j).valuation_lower_bound() > 0
+        polynomial_unit = f.is_polynomial and X == d
+        assert prep.unit.x_trunc == (None if polynomial_unit else X - d)
+        # u * h has degree <= X, so it must match f in every known degree
+        uh = CoefficientSeries(field, prep.unit.coeffs) * h
+        for i in range(X + 1):
+            assert uh.coefficient(i).agrees_with(f.coefficient(i))
+
+
+def test_prepare_factors_the_x_polynomial_truncation():
+    # coefficients above x_trunc count as zero: t + x + x^2 + O(x^3) prepares
+    # exactly like the polynomial t + x + x^2
+    truncated = CoefficientSeries(F5, [t(F5), one(F5), one(F5)], x_trunc=2)
+    polynomial = CoefficientSeries(F5, [t(F5), one(F5), one(F5)])
+    a = weierstrass_prepare(truncated, precision=8)
+    b = weierstrass_prepare(polynomial, precision=8)
+    assert (a.degree, a.trunc) == (b.degree, b.trunc) == (1, 8)
+    assert a.unit.x_trunc == b.unit.x_trunc == 1
+    assert a.unit.coeffs == b.unit.coeffs
+    assert a.distinguished.coeffs == b.distinguished.coeffs
+    # so an x^3 term the truncation hides moves h at t^3, below the O(t^8)
+    # both factorizations claim
+    longer = CoefficientSeries(F5, [t(F5), one(F5), one(F5), one(F5)], x_trunc=3)
+    c = weierstrass_prepare(longer, precision=8)
+    h_a = a.distinguished.coefficient(0)
+    h_c = c.distinguished.coefficient(0)
+    assert h_a.trunc == h_c.trunc == c.trunc == 8
+    assert h_a.agrees_with(h_c, below=3)
+    assert h_a.coefficient(3) != h_c.coefficient(3)
 
 
 # -- Puiseux roots ------------------------------------------------------------
