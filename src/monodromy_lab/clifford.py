@@ -29,7 +29,12 @@ e_(i+1) occurs), and that bitmask is also its column in the ``RowSpace``
 rows, so an element's terms are a sparse row as they stand.  Subspaces of
 Cl(V) are ``RowSpace`` objects over 2^(n+2) columns.
 
-All linear algebra runs over Q with exact row reduction; n is capped at 6
+Coefficients are exact rationals, coerced once at the boundary (Gram
+entries, ``vector`` coordinates, ``scale`` factors) to an ``int`` when
+integral and a ``Fraction`` otherwise.  Over an integral Gram matrix every
+structure constant and every product is therefore an ``int``; a rational
+Gram matrix gives ``Fraction``s through the same code.  All linear algebra
+runs over Q with exact, integer-preserving row reduction; n is capped at 6
 (algebra dimension 256) so rank certificates stay cheap.
 """
 
@@ -44,11 +49,17 @@ from .linalg import RowSpace, nullspace, rank
 _MAX_N = 6
 
 
+def _exact(x):
+    """x as an exact rational: an ``int`` when integral, else a ``Fraction``."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GramLattice:
     """A rational quadratic lattice of signature (n, 2), by its Gram matrix."""
 
     def __init__(self, gram):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        gram = tuple(tuple(_exact(x) for x in row) for row in gram)
         dim = len(gram)
         if any(len(row) != dim for row in gram):
             raise ComputationError("Gram matrix must be square")
@@ -84,11 +95,11 @@ class GramLattice:
         if n < 2:
             raise ComputationError("two hyperbolic planes need n >= 2")
         dim = n + 2
-        g = [[Fraction(0)] * dim for _ in range(dim)]
-        g[0][2] = g[2][0] = Fraction(1)
-        g[1][3] = g[3][1] = Fraction(1)
+        g = [[0] * dim for _ in range(dim)]
+        g[0][2] = g[2][0] = 1
+        g[1][3] = g[3][1] = 1
         for i in range(4, dim):
-            g[i][i] = Fraction(1)
+            g[i][i] = 1
         return cls(g)
 
     @classmethod
@@ -97,11 +108,11 @@ class GramLattice:
         if n < 1:
             raise ComputationError("n must be >= 1")
         dim = n + 2
-        g = [[Fraction(0)] * dim for _ in range(dim)]
-        g[0][1] = g[1][0] = Fraction(1)
+        g = [[0] * dim for _ in range(dim)]
+        g[0][1] = g[1][0] = 1
         for i in range(2, dim - 1):
-            g[i][i] = Fraction(1)
-        g[dim - 1][dim - 1] = Fraction(-1)
+            g[i][i] = 1
+        g[dim - 1][dim - 1] = -1
         return cls(g)
 
     # -- plumbing ------------------------------------------------------------
@@ -128,17 +139,17 @@ class GramLattice:
         return self.bilinear(v, v)
 
     def vector(self, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [_exact(c) for c in coords]
         if len(coords) != self.dim:
             raise ComputationError("vector needs %d coordinates" % self.dim)
         terms = {1 << i: c for i, c in enumerate(coords) if c}
         return CliffordElement(self, terms)
 
     def basis_vector(self, i):
-        return CliffordElement(self, {1 << i: Fraction(1)})
+        return CliffordElement(self, {1 << i: 1})
 
     def one(self):
-        return CliffordElement(self, {0: Fraction(1)})
+        return CliffordElement(self, {0: 1})
 
     def monomials(self):
         """All monomial bitmasks, in increasing order."""
@@ -146,13 +157,13 @@ class GramLattice:
 
     def _mul_basis(self, s, t):
         """Normal-ordered product e_s * e_t of two monomial bitmasks as
-        {bitmask: Fraction}."""
+        {bitmask: coefficient}, all ``int`` over an integral Gram matrix."""
         key = (s, t)
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         result = {}
-        stack = [(Fraction(1), list(_mask_to_tuple(s) + _mask_to_tuple(t)))]
+        stack = [(1, list(_mask_to_tuple(s) + _mask_to_tuple(t)))]
         while stack:
             coeff, seq = stack.pop()
             k = _first_violation(seq)
@@ -198,9 +209,10 @@ def _mask_to_tuple(mask):
 class CliffordElement:
     """A rational element of Cl(V) over the subset-monomial basis.
 
-    ``terms`` maps the bitmask of S to the ``Fraction`` coefficient of e_S;
-    the bitmasks are the ``RowSpace`` columns, so ``terms`` is a sparse row.
-    Callers coerce at the boundary (``GramLattice.vector``, ``scale``).
+    ``terms`` maps the bitmask of S to the exact coefficient of e_S, an
+    ``int`` or a ``Fraction``; the bitmasks are the ``RowSpace`` columns, so
+    ``terms`` is a sparse row.  Callers coerce at the boundary
+    (``GramLattice.vector``, ``scale``).
     """
 
     __slots__ = ("lattice", "terms")
@@ -239,7 +251,7 @@ class CliffordElement:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return CliffordElement(self.lattice, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -265,7 +277,7 @@ class CliffordElement:
 
     def grade_one_coords(self):
         """Coordinate vector if the element is a pure vector, else None."""
-        coords = [Fraction(0)] * self.lattice.dim
+        coords = [0] * self.lattice.dim
         for m, c in self.terms.items():
             if m.bit_count() != 1:
                 return None
@@ -328,7 +340,7 @@ def left_ideal_image(lattice, element):
         raise ComputationError("left ideal of the zero element")
     rows = []
     for mono in lattice.monomials():
-        prod = element * CliffordElement(lattice, {mono: Fraction(1)})
+        prod = element * CliffordElement(lattice, {mono: 1})
         if prod:
             rows.append(prod.terms)
     return RowSpace(1 << lattice.dim, rows)
@@ -498,7 +510,7 @@ def graded_splitting(filtration, e3, e4):
         constraints.append(row)
     i0 = []
     for vec in nullspace(constraints, lattice.dim):
-        coords = [Fraction(0)] * lattice.dim
+        coords = [0] * lattice.dim
         for i, v in vec.items():
             coords[i] = v
         i0.append(lattice.vector(coords))

@@ -1,11 +1,16 @@
 """Exact linear algebra over Q on sparse rows.
 
-Rows are dicts {column: Fraction}.  Everything reduces to a canonical
-reduced row echelon basis, so subspaces compare by equality of their
-canonical rows.  All arithmetic is exact; no pivot thresholds anywhere.
+Rows are dicts {column: exact rational}: Python ``int`` or ``Fraction``
+entries, mixed freely.  Everything reduces to a canonical reduced row
+echelon basis, so subspaces compare by equality of their canonical rows.
+All arithmetic is exact; no pivot thresholds anywhere.  ``rref`` eliminates
+over the integers (each row scaled by the lcm of its denominators and kept
+primitive), so integral input never builds a ``Fraction`` until the final
+division by the pivots.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ComputationError
 
@@ -33,25 +38,79 @@ def _reduce_against(row, pivots):
     return r, None
 
 
+def _primitive(row):
+    """The nonzero integer multiple of a nonempty row with content 1 and a
+    positive leading entry."""
+    if any(type(v) is not int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _eliminate(r, c, prow):
+    """r <- a*r - b*prow in place, for integer rows r and prow, with
+    a : b = prow[c] : r[c] in lowest terms, so that r is zero at column c."""
+    a, b = prow[c], r[c]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for cc in r:
+            r[cc] *= a
+    _subtract(r, b, prow)
+
+
+def _normalize(row, p):
+    """Divide an integer row by its pivot p in place, keeping ints where p
+    divides."""
+    if p != 1:
+        for c in row:
+            q, m = divmod(row[c], p)
+            row[c] = Fraction(row[c], p) if m else q
+
+
 def rref(rows):
-    """Canonical reduced echelon basis: dict pivot_col -> normalized row."""
+    """Canonical reduced echelon basis: dict pivot_col -> normalized row.
+
+    Fraction-free Gauss-Jordan, integer-preserving as in Bareiss: each row
+    is scaled to a primitive integer row, and a column is cleared by the
+    cross-multiplication r <- a*r - b*prow, with a and b the two entries
+    there divided by their gcd.  Pivot rows stay primitive, with positive
+    pivots.  Only the returned rows are divided by their pivot: an entry is
+    an ``int`` where the pivot divides it and a ``Fraction`` otherwise."""
     pivots = {}
     for row in rows:
-        r, c = _reduce_against(row, pivots)
-        if c is None:
+        r = {c: v for c, v in row.items() if v}
+        if not r:
             continue
-        # _reduce_against stops at the first non-pivot column; the existing
-        # pivot columns to its right must be cleared too, or the basis is
-        # not reduced (and nullspace reads wrong coefficients off it).
-        # Existing rows are zero on each other's pivots, so one pass does.
+        r = _primitive(r)
+        # existing pivot rows are zero on each other's pivot columns, so
+        # clearing one never brings another back: one pass clears them all,
+        # those right of the new leading column included (without those the
+        # basis is not reduced, and nullspace reads wrong coefficients off it)
         for pc in [cc for cc in r if cc in pivots]:
-            _subtract(r, r[pc], pivots[pc])
-        inv = Fraction(1) / r[c]
-        r = {cc: vv * inv for cc, vv in r.items()}
-        for prow in pivots.values():
+            _eliminate(r, pc, pivots[pc])
+        if not r:
+            continue
+        r = _primitive(r)
+        c = min(r)
+        for pc, prow in pivots.items():
             if c in prow:
-                _subtract(prow, prow[c], r)
+                _eliminate(prow, c, r)
+                pivots[pc] = _primitive(prow)
         pivots[c] = r
+    for c, r in pivots.items():
+        _normalize(r, r[c])
     return pivots
 
 
@@ -130,7 +189,7 @@ def nullspace(rows, ambient):
     free = [c for c in range(ambient) if c not in pivots]
     basis = []
     for f in free:
-        vec = {f: Fraction(1)}
+        vec = {f: 1}
         for pc, prow in pivots.items():
             coef = prow.get(f)
             if coef:

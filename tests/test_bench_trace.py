@@ -1,6 +1,6 @@
 """The benchmark's tracer patches library functions and methods by name.
 
-Run one shipped scenario under the tracer: a method it watches that left
+Run shipped scenarios under the tracer: a method it watches that left
 its class body (or was renamed) fails ``install``, and ``uninstall`` must
 put back every original.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 from monodromy_lab import scenarios
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-SCENARIO = resources.files("monodromy_lab") / "data" / "scenarios" / "elliptic_igusa_f2.json"
+SCENARIOS = resources.files("monodromy_lab") / "data" / "scenarios"
 
 
 def _load_tracing():
@@ -35,8 +35,10 @@ def _library_namespaces():
     return spaces
 
 
-def test_traced_scenario_counts_and_uninstall_restores():
-    doc = json.loads(SCENARIO.read_text())
+def _traced_run(scenario):
+    """Run one shipped scenario under the tracer, uninstall it, and check
+    that every patched name and namespace is back as it was."""
+    doc = json.loads((SCENARIOS / ("%s.json" % scenario)).read_text())
     tracer = _load_tracing().Tracer()
     before = {id(ns): dict(vars(ns)) for ns in _library_namespaces()}
     tracer.install()
@@ -47,6 +49,16 @@ def test_traced_scenario_counts_and_uninstall_restores():
         tracer.enabled = False
     finally:
         tracer.uninstall()
+    for ns, attr, original in patched:
+        assert vars(ns)[attr] is original
+    for ns in _library_namespaces():
+        if id(ns) in before:
+            assert dict(vars(ns)) == before[id(ns)], ns
+    return tracer, report, patched
+
+
+def test_traced_scenario_counts_and_uninstall_restores():
+    tracer, report, patched = _traced_run("elliptic_igusa_f2")
     assert report.ok
     assert tracer.counts["series.mul_calls"] > 0
     assert tracer.counts["scenarios.run_scenario_calls"] == 1
@@ -56,8 +68,13 @@ def test_traced_scenario_counts_and_uninstall_restores():
     for name in ("__mul__", "inverse"):
         assert ("FiniteFieldElement", name) in watched
     assert ("FiniteField", "__eq__") in watched
-    for ns, attr, original in patched:
-        assert vars(ns)[attr] is original
-    for ns in _library_namespaces():
-        if id(ns) in before:
-            assert dict(vars(ns)) == before[id(ns)], ns
+
+
+def test_traced_clifford_scenario_reaches_linalg_and_clifford_counters():
+    # the linalg and Clifford layer metrics read 0 if rref or the element
+    # product stop going through the names the tracer wraps
+    tracer, report, _ = _traced_run("clifford_n2_type2")
+    assert report.ok
+    assert tracer.counts["linalg.rref_calls"] > 0
+    assert tracer.counts["linalg.rows_in"] > 0
+    assert tracer.counts["clifford.element_mul_calls"] > 0

@@ -381,3 +381,75 @@ def test_parity_certificate_catches_a_wrong_parity_product(monkeypatch):
     chk = cocharacter_conjugation_check(s, L.basis_vector(0))
     assert chk.parity_preserved is False
     assert not chk.ok
+
+
+# -- exact coefficients: ints over an integral Gram matrix, Fractions otherwise ---
+
+
+@pytest.mark.parametrize("which", ["split4", "one-hyperbolic3", "rebased-n3"])
+def test_integral_gram_gives_int_coefficients(which):
+    if which == "split4":
+        L = GramLattice.split(4)
+    elif which == "one-hyperbolic3":
+        L = GramLattice.one_hyperbolic(3)
+    else:
+        L = GramLattice(REBASED_N3["lattice"])
+    for s in L.monomials():
+        for t in L.monomials():
+            assert all(type(v) is int for v in L._mul_basis(s, t).values()), (s, t)
+    if which == "rebased-n3":
+        e1, e2 = (L.vector(REBASED_N3["vectors"][k]) for k in ("e1", "e2"))
+    else:
+        e1, e2 = vectors(L, 0, 1)
+    assert (e1 * e2).terms
+    assert all(type(v) is int for v in (e1 * e2).terms.values())
+
+
+def _half_tail_gram(n):
+    """split(n) with the first definite tail entry q(e5) = 1/2."""
+    gram = [list(row) for row in GramLattice.split(n).gram]
+    gram[4][4] = Fraction(1, 2)
+    return gram
+
+
+def test_rational_gram_filtration_splitting_and_cocharacter():
+    n = 3
+    L = GramLattice(_half_tail_gram(n))
+    assert L.gram[4][4] == Fraction(1, 2)
+    e1, e2, e3, e4 = vectors(L, 0, 1, 2, 3)
+    assert e1 * e3 * e1 == 2 * e1
+    tail = L.basis_vector(4)
+    assert (tail * tail).terms == {0: Fraction(1, 2)}
+    f = filtration_type2(L, e1, e2)
+    assert f.dims() == (1 << n, (1 << n) + (1 << (n + 1)), 1 << (n + 2))
+    s = graded_splitting(f, e3, e4)
+    assert s.dims() == (1 << n, 1 << (n + 1), 1 << n)
+    assert len(s.i_0_basis) == 1
+    parity_ok = parity_preserved(s)
+    assert parity_ok
+    shifts = []
+    for v in (e1, s.i_0_basis[0], e3):
+        chk = cocharacter_conjugation_check(s, v, parity_ok=parity_ok)
+        assert all(holds for _, holds in chk.containments)
+        assert chk.ok
+        shifts.append(chk.shift)
+    assert shifts == [-1, 0, 1]
+
+
+def test_rational_gram_scenario_runs_ok():
+    from monodromy_lab.scenarios import run_scenario
+
+    gram = [[str(x) for x in row] for row in _half_tail_gram(3)]
+    assert gram[4][4] == "1/2"
+    report = run_scenario(
+        {
+            "kind": "clifford",
+            "n": 3,
+            "filtration": "II",
+            "lattice": gram,
+            "with_splitting": True,
+            "with_cocharacter": True,
+        }
+    )
+    assert report.ok
+    assert report.result["splitting_dims"] == [8, 16, 8]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy_lab.linalg import RowSpace, nullspace, rank, rref
+from monodromy_lab.linalg import RowSpace, _primitive, nullspace, rank, rref
 
 
 def _random_rows(rng, count, ambient, density=0.5):
@@ -68,3 +68,111 @@ def test_intersect_by_hand():
     meet = u.intersect(w)
     assert meet == RowSpace(3, [{0: 1, 1: -1}])
     assert meet.basis_rows() == [{0: Fraction(1), 1: Fraction(-1)}]
+
+
+# -- the integer elimination against a Fraction Gauss-Jordan oracle ---------------
+
+
+def _ref_subtract(r, factor, row):
+    for cc, vv in row.items():
+        nv = r.get(cc, 0) - factor * vv
+        if nv:
+            r[cc] = nv
+        else:
+            r.pop(cc, None)
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan over ``Fraction``, dividing by each pivot as it is found."""
+    pivots = {}
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items()}
+        while r and min(r) in pivots:
+            _ref_subtract(r, r[min(r)], pivots[min(r)])
+        if not r:
+            continue
+        c = min(r)
+        for pc in [cc for cc in r if cc in pivots]:
+            _ref_subtract(r, r[pc], pivots[pc])
+        inv = 1 / r[c]
+        r = {cc: vv * inv for cc, vv in r.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _ref_subtract(prow, prow[c], r)
+        pivots[c] = r
+    return pivots
+
+
+def _entry(rng, kind):
+    num = rng.randint(-50, 50)
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return num
+    return Fraction(num, rng.randint(1, 6))
+
+
+def _oracle_rows(rng, kind, count=7, ambient=9):
+    """Random rows plus duplicates and combinations of them, so the set is
+    rank-deficient; entries are ints, Fractions or a mix of both."""
+    rows = [
+        {c: _entry(rng, kind) for c in range(ambient) if rng.random() < 0.55}
+        for _ in range(count)
+    ]
+    rows.append(dict(rng.choice(rows)))
+    for _ in range(3):
+        a, b = rng.sample(rows, 2)
+        x, y = _entry(rng, kind), _entry(rng, kind)
+        rows.append({c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)})
+    rng.shuffle(rows)
+    return [{c: v for c, v in row.items() if v} for row in rows]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+@pytest.mark.parametrize("seed", range(8))
+def test_rref_matches_fraction_oracle(seed, kind):
+    rng = random.Random(1000 + seed)
+    rows = _oracle_rows(rng, kind)
+    got = rref(rows)
+    want = _reference_rref(rows)
+    assert sorted(got) == sorted(want)
+    assert got == want
+    for row in got.values():
+        # an entry the pivot divides comes back as an int
+        assert all(type(v) is int or v.denominator != 1 for v in row.values())
+
+
+def test_rref_of_rank_deficient_int_rows():
+    rows = [{0: 2, 1: 4}, {0: -3, 1: -6}, {1: 3, 2: 6}, {0: 2, 1: 4}]
+    assert rref(rows) == {0: {0: 1, 2: -4}, 1: {1: 1, 2: 2}}
+    assert rref(rows) == _reference_rref(rows)
+
+
+def test_primitive_is_the_canonical_integer_multiple():
+    row = {1: Fraction(-3, 4), 3: Fraction(1, 6), 4: 2}
+    assert _primitive(row) == {1: 9, 3: -2, 4: -24}
+    for factor in (Fraction(-1), Fraction(5, 7), Fraction(-2, 9), 3):
+        assert _primitive({c: factor * v for c, v in row.items()}) == _primitive(row)
+
+
+def _as_fractions(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_int_and_fraction_spellings_agree(seed):
+    rng = random.Random(2000 + seed)
+    ambient = 8
+    u_rows = _oracle_rows(rng, "int", count=4, ambient=ambient)
+    w_rows = _oracle_rows(rng, "int", count=4, ambient=ambient)
+    u_int, u_frac = RowSpace(ambient, u_rows), RowSpace(ambient, _as_fractions(u_rows))
+    w_int, w_frac = RowSpace(ambient, w_rows), RowSpace(ambient, _as_fractions(w_rows))
+    assert u_int == u_frac and w_int == w_frac
+    probes = _oracle_rows(rng, "int", count=3, ambient=ambient) + u_rows
+    for probe in probes:
+        (frac_probe,) = _as_fractions([probe])
+        assert u_int.contains_row(probe) == u_frac.contains_row(frac_probe)
+        assert u_int.contains_row(frac_probe) == u_frac.contains_row(probe)
+    assert all(u_int.contains_row(r) for r in u_rows)
+    meet = u_int.intersect(w_int)
+    assert meet == u_frac.intersect(w_frac) == u_int.intersect(w_frac)
+    assert u_int.contains(meet) and w_frac.contains(meet)
+    assert nullspace(u_rows, ambient) == nullspace(_as_fractions(u_rows), ambient)
