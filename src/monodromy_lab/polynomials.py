@@ -12,10 +12,15 @@ The tools that live here:
   lifting one t-slice at a time from the residual; a slice is a map
   x-degree -> code, multiplied and summed by the code kernel of ``series``;
 * ``newton_polygon`` / ``root_valuations`` -- exact lower convex hulls of
-  (index, valuation) data and the root-valuation multisets they encode;
+  (index, valuation) data and the root-valuation multisets they encode; the
+  hull is taken on an integer grid (valuations times the lcm of their
+  denominators) and reported in Fractions;
 * ``puiseux_roots`` -- a Newton-Puiseux iteration that actually expands the
   roots over Puiseux extensions, used as an independent oracle against the
-  polygon bookkeeping.
+  polygon bookkeeping.  Each step runs on codes: the residual equation is
+  searched in code order by Horner division, and the substitution
+  x = t**s (c + y) is one pass over the coefficients' codes on their common
+  ramification grid, building one series per output coefficient.
 
 Coefficients whose valuation is only bounded below ("zero at precision T")
 enter a polygon solely as upper-side constraints; whenever the hull, or a
@@ -271,12 +276,14 @@ class NewtonPolygon:
         return True
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def newton_polygon(points, unknown_bounds=(), strict=False):
     """Lower convex hull of exact (index, valuation) points.
+
+    The hull and the collinear test run on an integer grid: every valuation
+    is scaled by the lcm D of their denominators, so the monotone-chain turn
+    test and the on-segment test are int cross products.  Vertices, points
+    and collinear points are reported as (index, Fraction) pairs and slopes
+    as Fractions, (V1 - V0) / (D * (i1 - i0)) on the grid values V.
 
     ``unknown_bounds`` lists (index, bound) pairs for coefficients known only
     to satisfy valuation >= bound.  If the hull could change for some
@@ -291,30 +298,36 @@ def newton_polygon(points, unknown_bounds=(), strict=False):
         if i in seen:
             raise ComputationError("duplicate index %d in polygon input" % i)
         seen.add(i)
-        pts.append((i, Fraction(v)))
+        pts.append((i, v if type(v) is Fraction else Fraction(v)))
     if not pts:
         raise ComputationError("polygon needs at least one point")
     pts.sort()
-    hull = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+    D = math.lcm(*(v.denominator for _, v in pts))
+    grid = [(i, v.numerator * (D // v.denominator)) for i, v in pts]
+    hull = []  # positions in pts, index order
+    for k, (i, V) in enumerate(grid):
+        while len(hull) >= 2:
+            (ia, Va), (ib, Vb) = grid[hull[-2]], grid[hull[-1]]
+            if (ib - ia) * (V - Va) - (Vb - Va) * (i - ia) > 0:
+                break
             hull.pop()
-        hull.append(p)
-    vertices = tuple(hull)
-    segments = tuple(
-        Segment(Fraction(v1 - v0, i1 - i0), i1 - i0)
-        for (i0, v0), (i1, v1) in zip(hull, hull[1:])
-    )
+        hull.append(k)
+    # the points between two consecutive vertices are the segment interior's
+    segments = []
+    collinear = []
+    for a, b in zip(hull, hull[1:]):
+        (i0, V0), (i1, V1) = grid[a], grid[b]
+        segments.append(Segment(Fraction(V1 - V0, D * (i1 - i0)), i1 - i0))
+        for k in range(a + 1, b):
+            i, V = grid[k]
+            if (V - V0) * (i1 - i0) == (V1 - V0) * (i - i0):
+                collinear.append(pts[k])
+    vertices = tuple(pts[k] for k in hull)
     polygon = NewtonPolygon(
         vertices=vertices,
-        segments=segments,
+        segments=tuple(segments),
         points=tuple(pts),
-        collinear=tuple(
-            p
-            for p in pts
-            if p not in vertices
-            and _on_hull(vertices, p)
-        ),
+        collinear=tuple(collinear),
     )
     for i, bound in unknown_bounds:
         i = int(i)
@@ -334,14 +347,6 @@ def newton_polygon(points, unknown_bounds=(), strict=False):
                 needed=h,
             )
     return polygon
-
-
-def _on_hull(vertices, p):
-    i, v = p
-    for (i0, v0), (i1, v1) in zip(vertices, vertices[1:]):
-        if i0 < i < i1 and (v - v0) * (i1 - i0) == (v1 - v0) * (i - i0):
-            return True
-    return False
 
 
 def root_valuations(polygon):
@@ -505,7 +510,10 @@ class PuiseuxRoot:
 
 
 def _residual_roots(field, phi):
-    """All roots of phi over F_q with multiplicities, plus the unmatched count."""
+    """All roots of phi over F_q with multiplicities, plus the unmatched count.
+
+    ``phi`` and the roots are codes; candidates are tried in code order.
+    """
     if field.order > _RESIDUE_SEARCH_LIMIT:
         raise ComputationError(
             "residue field too large for exhaustive root search (q=%d)" % field.order
@@ -513,9 +521,7 @@ def _residual_roots(field, phi):
     found = []
     remaining = list(phi)
     degree = len(phi) - 1
-    for c in field.elements():
-        if not c:
-            continue
+    for c in range(1, field.order):
         mult = 0
         while len(remaining) > 1:
             quot, rem = _divide_linear(field, remaining, c)
@@ -530,13 +536,15 @@ def _residual_roots(field, phi):
 
 
 def _divide_linear(field, coeffs, c):
-    """Divide sum a_j z^j by (z - c); returns (quotient, remainder)."""
-    quot = [field.zero()] * (len(coeffs) - 1)
-    acc = field.zero()
+    """Divide sum a_j z^j by (z - c) by Horner on codes; returns (quotient,
+    remainder)."""
+    add, mul = field.code_add, field.code_mul
+    quot = [0] * (len(coeffs) - 1)
+    acc = 0
     for j in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[j] + c * acc
+        acc = add(coeffs[j], mul(c, acc))
         quot[j - 1] = acc
-    rem = coeffs[0] + c * acc
+    rem = add(coeffs[0], mul(c, acc))
     return quot, rem
 
 
@@ -639,9 +647,7 @@ def _expand(field, cs, target, n_cap, depth, top=False):
                 "required ramification index %d exceeds the cap %d" % (work_n, n_cap)
             )
         v0 = polygon.hull_value(i0)
-        phi = []
-        for j in range(seg.length + 1):
-            phi.append(cs[i0 + j].coefficient(v0 + seg.slope * j))
+        phi = [cs[i0 + j].code_at(v0 + seg.slope * j) for j in range(seg.length + 1)]
         found, unmatched = _residual_roots(field, phi)
         if unmatched:
             out.append(PuiseuxRoot(s, unmatched, None))
@@ -658,7 +664,7 @@ def _expand(field, cs, target, n_cap, depth, top=False):
                 raise ComputationError(
                     "branch at slope %s lost multiplicity (%d of %d)" % (s, got, mult)
                 )
-            base = PuiseuxSeries.constant(field, c)
+            base = PuiseuxSeries._from_valid(field, {0: c}, 1, None)
             for r in tail:
                 if r.expansion is None:
                     out.append(PuiseuxRoot(s, r.multiplicity, None))
@@ -669,28 +675,82 @@ def _expand(field, cs, target, n_cap, depth, top=False):
 
 
 def _substitute(field, cs, s, c):
-    """Coefficients of P(t**s (c + y)) in y, renormalised by the minimal power."""
+    """Coefficients of P(t**s (c + y)) in y, renormalised by the minimal power.
+
+    One pass on the common grid N = lcm(s.denominator, every c_i.n_ram): the
+    term (e, v) of c_i adds binom(i, j) * c**(i - j) * v to output coefficient
+    j <= i at grid exponent e * (N / n_i) + s * N * i.  A scalar that is 0 mod
+    p adds nothing, not even its truncation: output j is cut at the min of
+    T_i + s * i over the i whose c_i is not exactly zero and whose scalar is
+    nonzero.  The renormaliser w is the min over j of the least surviving
+    exponent, or of the truncation where nothing survives; dividing by t**w
+    moves the codes by -w on the grid lcm(N, w.denominator).  ``c`` is a
+    nonzero code.
+    """
     d = len(cs) - 1
-    new = [PuiseuxSeries.zero(field) for _ in range(d + 1)]
-    for i, ci in enumerate(cs):
-        if ci.is_exact_zero:
-            continue
-        shifted = ci.shift(s * i)
-        power = field.one()
-        # j descending so c^(i-j) builds incrementally
-        binomials = [math.comb(i, j) for j in range(i + 1)]
-        for j in range(i, -1, -1):
-            coef = field.element(binomials[j]) * power
-            if coef:
-                new[j] = new[j] + shifted.scale(coef)
-            power = power * c
+    live = [i for i, ci in enumerate(cs) if not ci.is_exact_zero]
+    n = math.lcm(s.denominator, *(cs[i].n_ram for i in live))
+    step = s.numerator * (n // s.denominator)
+    prime = field.degree == 1
+    p = field.p
+    add, mul = field.code_add, field.code_mul
+    powers = [1]  # c**k as codes
+    for _ in range(d):
+        powers.append(mul(powers[-1], c))
+    # per output j: the contributing (i, scalar) pairs and the truncation
+    scalars = [[] for _ in range(d + 1)]
+    truncs = [None] * (d + 1)
+    for i in live:
+        ti = cs[i].trunc
+        if ti is not None:
+            ti = ti + s * i
+        for j in range(i + 1):
+            b = math.comb(i, j) % p
+            if not b:
+                continue
+            scalars[j].append((i, mul(b, powers[i - j])))
+            if ti is not None and (truncs[j] is None or ti < truncs[j]):
+                truncs[j] = ti
+    # c_i's codes on the grid, shifted by s * i
+    terms = {}
+    for i in live:
+        ci = cs[i]
+        scale = n // ci.n_ram
+        base = step * i
+        terms[i] = [(e * scale + base, v) for e, v in ci.coeffs.items()]
+    out = []
+    for j in range(d + 1):
+        trunc = truncs[j]
+        cut = INFINITY if trunc is None else math.ceil(trunc * n)
+        acc = {}
+        get = acc.get
+        if prime:
+            for i, b in scalars[j]:
+                for e, v in terms[i]:
+                    if e < cut:
+                        acc[e] = get(e, 0) + b * v
+            acc = {e: v % p for e, v in acc.items() if v % p}
+        else:
+            for i, b in scalars[j]:
+                for e, v in terms[i]:
+                    if e < cut:
+                        acc[e] = add(get(e, 0), mul(b, v))
+            acc = {e: v for e, v in acc.items() if v}
+        out.append(acc)
     # renormalise so the smallest valuation is zero (exact monomial division)
-    w = None
-    for ci in new:
-        lb = ci.valuation_lower_bound()
-        if lb is INFINITY:
-            continue
-        w = lb if w is None else min(w, lb)
+    low = min((min(acc) for acc in out if acc), default=None)
+    w = None if low is None else Fraction(low, n)
+    for acc, trunc in zip(out, truncs):
+        if not acc and trunc is not None and (w is None or trunc < w):
+            w = trunc
     if w:
-        new = [ci.shift(-w) for ci in new]
-    return new
+        grid = math.lcm(n, w.denominator)
+        scale = grid // n
+        move = w.numerator * (grid // w.denominator)
+        out = [{e * scale - move: v for e, v in acc.items()} for acc in out]
+        truncs = [None if trunc is None else trunc - w for trunc in truncs]
+        n = grid
+    return [
+        PuiseuxSeries._from_valid(field, acc, n, trunc)
+        for acc, trunc in zip(out, truncs)
+    ]

@@ -288,8 +288,8 @@ class PuiseuxSeries:
             return INFINITY
         return self.trunc
 
-    def coefficient(self, exponent):
-        """The exact coefficient of t**exponent (zero if absent below T)."""
+    def code_at(self, exponent):
+        """The code of the coefficient of t**exponent (0 if absent below T)."""
         exponent = Fraction(exponent)
         if self.trunc is not None and exponent >= self.trunc:
             raise PrecisionError(
@@ -297,7 +297,11 @@ class PuiseuxSeries:
                 % (exponent, self.trunc)
             )
         q, r = divmod(exponent.numerator * self.n_ram, exponent.denominator)
-        return FiniteFieldElement(self.field, 0 if r else self.coeffs.get(q, 0))
+        return 0 if r else self.coeffs.get(q, 0)
+
+    def coefficient(self, exponent):
+        """The exact coefficient of t**exponent (zero if absent below T)."""
+        return FiniteFieldElement(self.field, self.code_at(exponent))
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""

@@ -62,6 +62,10 @@ def test_traced_scenario_counts_and_uninstall_restores():
     assert report.ok
     assert tracer.counts["series.mul_calls"] > 0
     assert tracer.counts["scenarios.run_scenario_calls"] == 1
+    # verify_levels 2 runs the Puiseux oracle: the puiseux-oracle layer
+    # metrics read 0 if these stop going through the names the tracer wraps
+    assert tracer.counts["polynomials.newton_polygon_calls"] > 0
+    assert tracer.counts["polynomials.puiseux_roots_calls"] > 0
     watched = {(getattr(ns, "__name__", ""), attr) for ns, attr, _ in patched}
     for name in ("__mul__", "invert"):
         assert ("PuiseuxSeries", name) in watched

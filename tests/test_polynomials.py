@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +7,16 @@ import pytest
 from monodromy_lab import (
     ComputationError,
     FiniteField,
+    FiniteFieldElement,
     INFINITY,
     PrecisionError,
     PuiseuxSeries,
 )
 from monodromy_lab.polynomials import (
     CoefficientSeries,
+    NewtonPolygon,
+    Segment,
+    _substitute,
     newton_polygon,
     puiseux_roots,
     root_valuations,
@@ -162,6 +167,141 @@ def test_polygon_against_naive_check_randomised():
         poly = newton_polygon(pts)
         assert poly.verify()
         assert sum(s.length for s in poly.segments) == max(idx) - min(idx)
+
+
+# The Fraction hull the integer grid replaced, kept as an oracle.
+
+
+def _reference_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _reference_on_hull(vertices, p):
+    i, v = p
+    for (i0, v0), (i1, v1) in zip(vertices, vertices[1:]):
+        if i0 < i < i1 and (v - v0) * (i1 - i0) == (v1 - v0) * (i - i0):
+            return True
+    return False
+
+
+def _reference_polygon(points, unknown_bounds=(), strict=False):
+    pts = []
+    seen = set()
+    for i, v in points:
+        i = int(i)
+        if i in seen:
+            raise ComputationError("duplicate index %d in polygon input" % i)
+        seen.add(i)
+        pts.append((i, Fraction(v)))
+    if not pts:
+        raise ComputationError("polygon needs at least one point")
+    pts.sort()
+    hull = []
+    for p in pts:
+        while len(hull) >= 2 and _reference_cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    vertices = tuple(hull)
+    polygon = NewtonPolygon(
+        vertices=vertices,
+        segments=tuple(
+            Segment(Fraction(v1 - v0, i1 - i0), i1 - i0)
+            for (i0, v0), (i1, v1) in zip(hull, hull[1:])
+        ),
+        points=tuple(pts),
+        collinear=tuple(
+            p for p in pts if p not in vertices and _reference_on_hull(vertices, p)
+        ),
+    )
+    for i, bound in unknown_bounds:
+        i = int(i)
+        bound = Fraction(bound)
+        if i in seen:
+            raise ComputationError("index %d both known and unknown" % i)
+        if not (vertices[0][0] <= i <= vertices[-1][0]):
+            raise PrecisionError("outside the known index span")
+        h = polygon.hull_value(i)
+        if bound < h or (strict and bound == h):
+            raise PrecisionError("hull not certified", needed=h)
+    return polygon
+
+
+def _polygon_outcome(build, points, bounds, strict):
+    try:
+        poly = build(points, bounds, strict=strict)
+    except ComputationError:
+        return "ComputationError"
+    except PrecisionError as exc:
+        return ("PrecisionError", exc.needed)
+    return poly.vertices, poly.segments, poly.points, poly.collinear
+
+
+def _seeded_point_set(rng, shape):
+    """(index, valuation) points of one shape; valuations mix int and Fraction."""
+
+    def mixed(v):
+        return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+    idx = sorted(rng.sample(range(14), rng.randrange(2, 10)))
+    if shape == "single":
+        return [(rng.randrange(8), rng.randrange(-3, 6))]
+    if shape == "equal":
+        v = Fraction(rng.randrange(-6, 6), rng.choice((1, 2, 3)))
+        return [(i, mixed(v)) for i in idx]
+    if shape == "collinear":
+        # a line, most points on it and the rest above
+        slope = Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3, 4)))
+        base = Fraction(rng.randrange(-4, 8), rng.choice((1, 2, 5)))
+        pts = []
+        for i in idx:
+            v = base + slope * i
+            if rng.random() < 0.25:
+                v += Fraction(rng.randrange(1, 5), rng.choice((1, 3)))
+            pts.append((i, mixed(v)))
+        return pts
+    pts = []
+    for i in idx:
+        if rng.random() < 0.4:
+            pts.append((i, rng.randrange(-6, 12)))
+        else:
+            den = rng.choice((1, 2, 3, 4, 6))
+            pts.append((i, Fraction(rng.randrange(-12, 24), den)))
+    return pts
+
+
+def test_polygon_integer_hull_matches_fraction_hull():
+    rng = random.Random(4411)
+    shapes = ("single", "equal", "collinear", "mixed")
+    seen = {"collinear": 0, "touch": 0, "cross": 0}
+    for _ in range(400):
+        pts = _seeded_point_set(rng, rng.choice(shapes))
+        ref = _reference_polygon(pts)
+        seen["collinear"] += bool(ref.collinear)
+        for strict in (False, True):
+            assert _polygon_outcome(newton_polygon, pts, (), strict) == (
+                _polygon_outcome(_reference_polygon, pts, (), strict)
+            )
+        known = {i for i, _ in pts}
+        lo, hi = ref.vertices[0][0], ref.vertices[-1][0]
+        free = [i for i in range(lo - 1, hi + 2) if i not in known]
+        if not free:
+            continue
+        bounds = []
+        for i in rng.sample(free, rng.randrange(1, len(free) + 1)):
+            if not lo <= i <= hi:
+                bounds.append((i, rng.randrange(0, 20)))
+                continue
+            h = ref.hull_value(i)
+            kind = rng.choice(("touch", "cross", "above"))
+            if kind in seen:
+                seen[kind] += 1
+            shift = {"touch": 0, "cross": -Fraction(1, 7), "above": Fraction(2, 3)}
+            bounds.append((i, h + shift[kind]))
+        for strict in (False, True):
+            assert _polygon_outcome(newton_polygon, pts, bounds, strict) == (
+                _polygon_outcome(_reference_polygon, pts, bounds, strict)
+            )
+    assert all(seen.values()), seen
 
 
 # -- Weierstrass preparation --------------------------------------------------
@@ -363,3 +503,126 @@ def test_roots_precision_exhaustion_is_loud():
     f = CoefficientSeries(F3, [c0, one(F3)])
     with pytest.raises(PrecisionError):
         puiseux_roots(f, target_precision=4)
+
+
+
+# The series-object substitution the one-pass code replaced, kept as an
+# oracle: c is a FiniteFieldElement here.
+
+
+def _reference_substitute(field, cs, s, c):
+    d = len(cs) - 1
+    new = [PuiseuxSeries.zero(field) for _ in range(d + 1)]
+    for i, ci in enumerate(cs):
+        if ci.is_exact_zero:
+            continue
+        shifted = ci.shift(s * i)
+        power = field.one()
+        binomials = [math.comb(i, j) for j in range(i + 1)]
+        for j in range(i, -1, -1):
+            coef = field.element(binomials[j]) * power
+            if coef:
+                new[j] = new[j] + shifted.scale(coef)
+            power = power * c
+    w = None
+    for ci in new:
+        lb = ci.valuation_lower_bound()
+        if lb is INFINITY:
+            continue
+        w = lb if w is None else min(w, lb)
+    if w:
+        new = [ci.shift(-w) for ci in new]
+    return new
+
+
+def _random_coefficient(rng, field, kind):
+    if kind == "exact-zero":
+        return zero(field)
+    den = rng.choice((1, 2, 3, 5, 7))
+    trunc = Fraction(rng.randrange(-2 * den, 9 * den), den)
+    if kind == "zero-at-precision":
+        return PuiseuxSeries.zero_at_precision(field, trunc)
+    n_ram = rng.choice((1, 2, 3, 4, 6))
+    exps = rng.sample(range(-n_ram, 8 * n_ram), rng.randrange(1, 6))
+    terms = {e: FiniteFieldElement(field, rng.randrange(1, field.order)) for e in exps}
+    return PuiseuxSeries(field, terms, n_ram, trunc if kind == "truncated" else None)
+
+
+def test_substitute_matches_series_reference():
+    rng = random.Random(7321)
+    kinds = ("exact", "exact", "truncated", "zero-at-precision", "exact-zero")
+    seen = {"vanishing-binomial": 0, "mixed-n_ram": 0, "ramified-s": 0, "off-grid-w": 0}
+    for _ in range(300):
+        field = rng.choice((F2, F3, F5, F4, F9))
+        degree = rng.randrange(1, 9)
+        cs = [_random_coefficient(rng, field, rng.choice(kinds)) for _ in range(degree)]
+        cs.append(_random_coefficient(rng, field, rng.choice(("exact", "truncated"))))
+        den = rng.choice((1, 2, 3, 4))
+        s = Fraction(rng.randrange(-3 * den, 3 * den + 1), den)
+        c = rng.randrange(1, field.order)
+        got = _substitute(field, cs, s, c)
+        want = _reference_substitute(field, cs, s, FiniteFieldElement(field, c))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w, (cs, s, c)
+        live = [ci for ci in cs if not ci.is_exact_zero]
+        grid = math.lcm(s.denominator, *(ci.n_ram for ci in live))
+        seen["vanishing-binomial"] += len(cs) - 1 >= field.p
+        seen["mixed-n_ram"] += len({ci.n_ram for ci in live if ci.coeffs}) > 1
+        seen["ramified-s"] += s.denominator > 1
+        seen["off-grid-w"] += any(grid % g.n_ram for g in got)
+    assert all(seen.values()), seen
+
+
+def test_substitute_renormalises_by_an_off_grid_truncation():
+    # P = O(t^(1/5)) + t x at x = t^(1/2) (1 + y): the constant is only known
+    # below 1/5, which beats t^(3/2) and sets w off the grid 1/2
+    cs = [PuiseuxSeries.zero_at_precision(F3, Fraction(1, 5)), t(F3)]
+    got = _substitute(F3, cs, Fraction(1, 2), 1)
+    assert got == _reference_substitute(F3, cs, Fraction(1, 2), F3.one())
+    assert got[0] == PuiseuxSeries.zero_at_precision(F3, 0)
+    assert got[1] == PuiseuxSeries.t_power(F3, Fraction(13, 10))
+    assert got[1].n_ram == 10
+
+
+def _seeded_roots(rng, field, count, target):
+    """Distinct roots {exponent: code} below ``target``; pairs share a
+    leading term, so some residual equations have double roots."""
+    roots = []
+    while len(roots) < count:
+        den = rng.choice((1, 2, 3))
+        lead = Fraction(rng.randrange(1, int(target * den)), den)
+        prefix = {lead: rng.randrange(1, field.order)}
+        for _ in range(min(2, count - len(roots))):
+            root = dict(prefix)
+            e = lead + Fraction(rng.randrange(1, 7), rng.choice((2, 3, 4)))
+            if e < target:
+                root[e] = rng.randrange(1, field.order)
+            if root not in roots:
+                roots.append(root)
+    return [
+        PuiseuxSeries.from_terms(
+            field, {e: FiniteFieldElement(field, c) for e, c in r.items()}
+        )
+        for r in roots
+    ]
+
+
+def test_roots_oracle_over_extension_fields():
+    rng = random.Random(9041)
+    target = Fraction(3)
+    ramified = 0
+    for field in (F4, F9) * 6:
+        roots = _seeded_roots(rng, field, rng.randrange(2, 5), target)
+        ramified += max(r.n_ram for r in roots) > 1
+        poly = CoefficientSeries(field, [one(field)])
+        for r in roots:
+            poly = poly * CoefficientSeries(field, [-r, one(field)])
+        unmatched = list(roots)
+        for got in puiseux_roots(poly, target):
+            assert got.expansion is not None and got.multiplicity == 1
+            hit = [r for r in unmatched if got.expansion.agrees_with(r, below=target)]
+            assert len(hit) == 1
+            unmatched.remove(hit[0])
+        assert not unmatched
+    assert ramified
