@@ -14,8 +14,14 @@ on univariate series.  With Z1 = [a](z) and Z2 = [b](z) the slope is
 division-free -- lambda = sum n w_n Z1^(n-1) when doubling, and
 lambda = sum w_n h_n with h_(n+1) = Z2 h_n + Z1^n when adding [1] = z --
 and the negation of the third point (z3, lambda z3 + nu) needs no
-composition.  Scenarios take [p] this way; ``ec_formal_group`` with
-``FormalGroupLaw.mult_by_int`` stays as the oracle it is checked against.
+composition.  Every series of that build is one packed code map of
+``polynomials`` (x-degree i and t-exponent e in the int key i << SH | e,
+plus a per-degree t-cut), so each product is one ``series.code_product``
+call and no ``PuiseuxSeries`` is built until the result is unpacked.
+Scenarios take [p] this way.  ``ec_formal_group`` with
+``FormalGroupLaw.mult_by_int`` stays as the oracle it is checked against; it
+runs the same chord algebra (``_third_point``, ``_negate``) on the
+tuple-keyed maps of ``truncated_product``.
 
 ``p_decomposition`` writes [p](x) = g(x^p), Weierstrass-prepares g to its
 degree-p distinguished factor h (special fibre of height 2), and reads off
@@ -52,10 +58,19 @@ from .polynomials import (
     CoefficientSeries,
     NewtonPolygon,
     newton_polygon,
+    pack,
+    packed_grid,
+    packed_product,
+    packed_scale,
+    packed_shift,
+    packed_slices,
+    packed_sum,
+    packed_unit_inverse,
     puiseux_roots,
     root_valuations,
     truncated_product,
     truncated_unit_inverse,
+    unpack,
     weierstrass_prepare,
 )
 from .series import INFINITY, PuiseuxSeries
@@ -64,7 +79,7 @@ _ASSOCIATIVITY_CHECK_CAP = 6
 
 
 # ---------------------------------------------------------------------------
-# map arithmetic on top of the truncated-product kernel
+# the oracle's map arithmetic on top of the tuple-keyed truncated product
 
 
 def _madd(a, b):
@@ -149,17 +164,28 @@ class WeierstrassModel:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def discriminant(self):
-        a1, a2, a3, a4, a6 = self.coefficients()
-        b2 = a1 * a1 + a2.scale(4)
-        b4 = a4.scale(2) + a1 * a3
-        b6 = a3 * a3 + a6.scale(4)
-        b8 = a1 * a1 * a6 + (a2 * a6).scale(4) - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return (
-            -(b2 * b2 * b8)
-            - (b4 * b4 * b4).scale(8)
-            - (b6 * b6).scale(27)
-            + (b2 * b4 * b6).scale(9)
-        )
+        """The discriminant, computed once per model: a build checks it
+        first and the formal-group scenario checks it again."""
+        disc = self.__dict__.get("_discriminant")
+        if disc is None:
+            disc = _discriminant(*self.coefficients())
+            # the model is frozen; the cache is not one of its fields
+            object.__setattr__(self, "_discriminant", disc)
+        return disc
+
+
+def _discriminant(a1, a2, a3, a4, a6):
+    """The discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    b2 = a1 * a1 + a2.scale(4)
+    b4 = a4.scale(2) + a1 * a3
+    b6 = a3 * a3 + a6.scale(4)
+    b8 = a1 * a1 * a6 + (a2 * a6).scale(4) - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return (
+        -(b2 * b2 * b8)
+        - (b4 * b4 * b4).scale(8)
+        - (b6 * b6).scale(27)
+        + (b2 * b4 * b6).scale(9)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,78 +361,146 @@ def _truncation(model, x_trunc):
     return X
 
 
-def _w_series(model, bound):
-    """w(z) = z^3 + ... to degree ``bound``, as a 1-tuple-keyed map.
+class _TupleMaps:
+    """The oracle's algebra: maps from exponent tuples of length ``nvars``
+    to ``PuiseuxSeries``, cut above total degree ``bound``."""
 
-    The (z, w) curve equation
-    w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3
-    fixes each coefficient from lower ones, since w has order 3:
-    w_n = [n = 3] + a1 w_(n-1) + a2 w_(n-2) + a3 (w^2)_n + a4 (w^2)_(n-1)
-    + a6 (w^3)_n, where (w^2)_n and (w^3)_n involve only w_i with i <= n - 3.
-    """
+    def __init__(self, model, nvars, bound):
+        self.field = model.field
+        self.bound = bound
+        self.one = _mone(self.field, nvars)
+        unit = (0,) * nvars
+        self.coefficients = [
+            {} if c.is_exact_zero else {unit: c} for c in _chord_coefficients(model)
+        ]
+
+    def mul(self, a, b):
+        return truncated_product(a, b, self.bound)
+
+    def add(self, *parts):
+        out = {}
+        for part in parts:
+            out = _madd(out, part)
+        return out
+
+    def neg(self, a):
+        return _mscale(a, self.field.element(-1))
+
+    def unit_inverse(self, a, bound):
+        return truncated_unit_inverse(a, bound)
+
+
+class _PackedMaps:
+    """The [p] path's algebra: x-series packed into one code map on the
+    model's grid (``polynomials.pack``), cut above x-degree ``bound``."""
+
+    def __init__(self, model, bound):
+        self.field = model.field
+        self.bound = bound
+        coefficients = _chord_coefficients(model)
+        self.n = packed_grid(coefficients)
+        self.one = ({0: 1}, {})
+        self.coefficients = [pack([c], self.n) for c in coefficients]
+
+    def mul(self, a, b):
+        return packed_product(self.field, a, b, self.bound)
+
+    def add(self, *parts):
+        return packed_sum(self.field, parts)
+
+    def neg(self, a):
+        neg = self.field.code_neg
+        return {k: neg(c) for k, c in a[0].items()}, a[1]
+
+    def unit_inverse(self, a, bound):
+        return packed_unit_inverse(self.field, a, bound)
+
+    def series(self, a):
+        """{(i,): c_i} as ``PuiseuxSeries``."""
+        return unpack(self.field, a, self.n)
+
+    def w_slices(self, bound):
+        """w_0, ..., w_bound of w(z) = z^3 + ..., each packed at x-degree 0.
+
+        The (z, w) curve equation
+        w = z^3 + (a1 z + a2 z^2) w + (a3 + a4 z) w^2 + a6 w^3
+        fixes each coefficient from lower ones, since w has order 3:
+        w_n = [n = 3] + a1 w_(n-1) + a2 w_(n-2) + a3 (w^2)_n + a4 (w^2)_(n-1)
+        + a6 (w^3)_n, where (w^2)_n and (w^3)_n involve only w_i with
+        i <= n - 3.
+        """
+        field = self.field
+        a1, a2, a3, a4, a6 = self.coefficients[:5]
+        empty = ({}, {})
+
+        def mul(a, b):
+            return packed_product(field, a, b, 0)
+
+        w = [empty] * (bound + 1)
+        w2 = [empty] * (bound + 1)
+        w3 = [empty] * (bound + 1)
+        w[3] = self.one
+        for n in range(4, bound + 1):
+            w2[n] = packed_sum(field, (mul(w[i], w[n - i]) for i in range(3, n - 2)))
+            w3[n] = packed_sum(field, (mul(w2[i], w[n - i]) for i in range(6, n - 2)))
+            w[n] = self.add(
+                mul(a1, w[n - 1]),
+                mul(a2, w[n - 2]),
+                mul(a3, w2[n]),
+                mul(a4, w2[n - 1]),
+                mul(a6, w3[n]),
+            )
+        return w
+
+
+def _chord_coefficients(model):
+    """a1, a2, a3, a4, a6, 2 a4 and 3 a6: the coefficients of the chord
+    algebra."""
     a1, a2, a3, a4, a6 = model.coefficients()
-    zero = PuiseuxSeries.zero(model.field)
-    w = [zero] * (bound + 1)
-    w2 = [zero] * (bound + 1)
-    w3 = [zero] * (bound + 1)
-    w[3] = PuiseuxSeries.one(model.field)
-    for n in range(4, bound + 1):
-        w2[n] = sum((w[i] * w[n - i] for i in range(3, n - 2)), zero)
-        w3[n] = sum((w2[i] * w[n - i] for i in range(6, n - 2)), zero)
-        w[n] = (
-            a1 * w[n - 1] + a2 * w[n - 2] + a3 * w2[n] + a4 * w2[n - 1] + a6 * w3[n]
-        )
-    return {(n,): c for n, c in enumerate(w) if not c.is_exact_zero}
+    return a1, a2, a3, a4, a6, a4.scale(2), a6.scale(3)
 
 
-def _third_point(model, z1, z2, lam, nu, bound, nvars):
+def _w_series(model, bound):
+    """w(z) = z^3 + ... to degree ``bound``, as a 1-tuple-keyed map, read
+    off the packed solve of ``_PackedMaps.w_slices``."""
+    maps = _PackedMaps(model, bound)
+    w = maps.w_slices(bound)
+    return maps.series(
+        packed_sum(maps.field, (packed_shift(wn, n, bound) for n, wn in enumerate(w)))
+    )
+
+
+def _third_point(maps, z1, z2, lam, nu):
     """z3 = -z1 - z2 - B/A: the third root of the curve on the chord
     w = lam z + nu through z1 and z2, with
 
         A = 1 + a2 lam + a4 lam^2 + a6 lam^3,
         B = a1 lam + a3 lam^2 + a2 nu + 2 a4 lam nu + 3 a6 lam^2 nu.
 
-    Works on maps keyed by exponent tuples of length ``nvars``; A is a unit,
+    Runs in either algebra, ``_TupleMaps`` or ``_PackedMaps``; A is a unit,
     so its inverse is the only division.
     """
-    a1, a2, a3, a4, a6 = model.coefficients()
-    minus = model.field.element(-1)
-    lam_nu = truncated_product(lam, nu, bound)
-    lam2 = truncated_product(lam, lam, bound)
-    big_a = _mone(model.field, nvars)
-    for coef, term in ((a2, lam), (a4, lam2), (a6, truncated_product(lam2, lam, bound))):
-        big_a = _madd(big_a, _mscale(term, coef))
-    big_b = _madd(
-        _madd(_mscale(lam, a1), _mscale(lam2, a3)),
-        _madd(
-            _mscale(nu, a2),
-            _madd(
-                _mscale(lam_nu, a4.scale(2)),
-                _mscale(truncated_product(lam2, nu, bound), a6.scale(3)),
-            ),
-        ),
+    a1, a2, a3, a4, a6, two_a4, three_a6 = maps.coefficients
+    mul, add = maps.mul, maps.add
+    lam_nu = mul(lam, nu)
+    lam2 = mul(lam, lam)
+    big_a = add(maps.one, mul(lam, a2), mul(lam2, a4), mul(mul(lam2, lam), a6))
+    big_b = add(
+        mul(lam, a1),
+        mul(lam2, a3),
+        mul(nu, a2),
+        mul(lam_nu, two_a4),
+        mul(mul(lam2, nu), three_a6),
     )
-    return _madd(
-        _mscale(_madd(z1, z2), minus),
-        _mscale(
-            truncated_product(big_b, truncated_unit_inverse(big_a, bound), bound),
-            minus,
-        ),
-    )
+    return maps.neg(add(z1, z2, mul(big_b, maps.unit_inverse(big_a, maps.bound))))
 
 
-def _negate(model, z, w, bound, nvars):
+def _negate(maps, z, w):
     """The formal negation -z * (1 - a1 z - a3 w)^{-1} of the point (z, w)."""
-    a1, a3 = model.a1, model.a3
-    minus = model.field.element(-1)
-    unit = _madd(
-        _mone(model.field, nvars),
-        _mscale(_madd(_mscale(z, a1), _mscale(w, a3)), minus),
-    )
+    a1, a3 = maps.coefficients[0], maps.coefficients[2]
+    unit = maps.add(maps.one, maps.neg(maps.add(maps.mul(z, a1), maps.mul(w, a3))))
     # z has positive order, so the inverse is needed one degree short
-    return truncated_product(
-        _mscale(z, minus), truncated_unit_inverse(unit, bound - 1), bound
-    )
+    return maps.mul(maps.neg(z), maps.unit_inverse(unit, maps.bound - 1))
 
 
 def ec_formal_group(model, x_trunc=None):
@@ -433,9 +527,9 @@ def ec_formal_group(model, x_trunc=None):
     z1 = {(1, 0): one}
     z2 = {(0, 1): one}
     nu = _madd(w1, _mscale(truncated_product(lam, z1, X + 1), field.element(-1)))
-    z3 = _third_point(model, z1, z2, lam, nu, X, 2)
+    z3 = _third_point(_TupleMaps(model, 2, X), z1, z2, lam, nu)
 
-    neg = _negate(model, {(1,): one}, w, X, 1)
+    neg = _negate(_TupleMaps(model, 1, X), {(1,): one}, w)
     table = _msubst(field, neg, X, (z3,), 2)
     return FormalGroupLaw(field, table, X, associativity_order=_ASSOCIATIVITY_CHECK_CAP)
 
@@ -444,7 +538,9 @@ def multiplication_series(model, m, x_trunc=None):
     """[m](z) for m >= 1, to degree X (default p^2 + p), from the curve.
 
     Double-and-add from [1] = z: each step is one chord step on univariate
-    series (``_chord_step``), so no bivariate table is built.  The build
+    series (``_chord_step``), so no bivariate table is built.  Every series
+    of the build is packed into one code map (``_PackedMaps``), so a product
+    is one ``code_product`` call and the result is unpacked once.  The build
     refuses what ``ec_formal_group`` refuses, in the same order, and checks
     the linear coefficient of every [k] it passes through.
     """
@@ -452,20 +548,23 @@ def multiplication_series(model, m, x_trunc=None):
         raise ComputationError("multiplication_series needs m >= 1, got %d" % m)
     field = model.field
     X = _truncation(model, x_trunc)
-    w = _w_series(model, X + 2)
-    z = {(1,): PuiseuxSeries.one(field)}
+    maps = _PackedMaps(model, X)
+    w = maps.w_slices(X + 1)
+    z = packed_shift(maps.one, 1, X)
     zero = PuiseuxSeries.zero(field)
     result, k = z, 1
     for bit in bin(m)[3:]:
         for z2 in (None, z) if bit == "1" else (None,):
-            result = _chord_step(model, w, result, z2, X)
+            result = _chord_step(maps, w, result, z2)
             k = 2 * k if z2 is None else k + 1
-            _check_linear_coefficient(field, result.get((1,), zero), k)
-    return CoefficientSeries.from_terms(field, result, X)
+            linear = maps.series(packed_slices(result, 1)[1])
+            _check_linear_coefficient(field, linear.get((1,), zero), k)
+    return CoefficientSeries.from_terms(field, maps.series(result), X)
 
 
-def _chord_step(model, w, z1, z2, bound):
-    """[a + b](z) from z1 = [a](z) and z2 = [b](z), cut above degree ``bound``.
+def _chord_step(maps, w, z1, z2):
+    """[a + b](z) from z1 = [a](z) and z2 = [b](z), cut above degree
+    ``maps.bound``, with w_n from ``_PackedMaps.w_slices``.
 
     ``z2`` is None for doubling (b = a) or the map of [1] = z.  The slope is
     division-free: lam = sum n w_n z1^(n-1) for doubling, and otherwise
@@ -474,33 +573,35 @@ def _chord_step(model, w, z1, z2, bound):
     ``_third_point``, and [a + b] = -z3 (1 - a1 z3 - a3 w3)^{-1} with
     w3 = lam z3 + nu, so no series is composed.
     """
-    field = model.field
-    one = PuiseuxSeries.one(field)
-    powers = [{(0,): one}]
+    field, bound = maps.field, maps.bound
+    mul, add = maps.mul, maps.add
+    powers = [maps.one]
     for _ in range(bound):
-        powers.append(truncated_product(powers[-1], z1, bound))
-    lam = {}
-    w_z1 = {}
+        powers.append(mul(powers[-1], z1))
     if z2 is None:
         z2 = z1
-        for (n,), wn in w.items():
-            if n <= bound + 1 and n % field.p:  # n w_n vanishes when p | n
-                lam = _madd(lam, _mscale(powers[n - 1], wn.scale(n)))
+        # n w_n vanishes when p | n
+        lam = packed_sum(
+            field,
+            (
+                mul(powers[n - 1], packed_scale(field, w[n], field.element(n).code))
+                for n in range(1, bound + 2)
+                if n % field.p
+            ),
+        )
     else:
-        h = {(0,): one}
+        h = maps.one
+        terms = []
         for n in range(1, bound + 2):
-            wn = w.get((n,))
-            if wn is not None:
-                lam = _madd(lam, _mscale(h, wn))
+            terms.append(mul(h, w[n]))
             if n <= bound:
-                h = _madd({(e + 1,): c for (e,), c in h.items() if e < bound}, powers[n])
-    for (n,), wn in w.items():
-        if n <= bound:
-            w_z1 = _madd(w_z1, _mscale(powers[n], wn))
-    nu = _madd(w_z1, _mscale(truncated_product(lam, z1, bound), field.element(-1)))
-    z3 = _third_point(model, z1, z2, lam, nu, bound, 1)
-    w3 = _madd(truncated_product(lam, z3, bound), nu)
-    return _negate(model, z3, w3, bound, 1)
+                h = add(packed_shift(h, 1, bound), powers[n])
+        lam = packed_sum(field, terms)
+    w_z1 = packed_sum(field, (mul(powers[n], w[n]) for n in range(bound + 1)))
+    nu = add(w_z1, maps.neg(mul(lam, z1)))
+    z3 = _third_point(maps, z1, z2, lam, nu)
+    w3 = add(mul(lam, z3), nu)
+    return _negate(maps, z3, w3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,18 @@
 
 The tools that live here:
 
-* ``truncated_product`` / ``truncated_unit_inverse`` -- the one kernel for
-  truncated x-series arithmetic: sparse maps from exponent tuples to
-  ``PuiseuxSeries``, cut at a total-degree bound.  ``CoefficientSeries``
-  multiplies through it (1-tuple keys) and so does the bivariate
-  formal-group build;
+* ``pack`` / ``packed_product`` / ``packed_sum`` / ``packed_unit_inverse``
+  / ``unpack`` -- the kernel for truncated x-series arithmetic: an x-series
+  whose coefficients are t-series on one grid is one code map keyed
+  i << SH | e (Kronecker substitution in x) plus a per-degree t-cut, so a
+  product is one ``series.code_product`` call, the x-bound is the key cut,
+  and the t-cuts follow the rules of ``PuiseuxSeries``.
+  ``CoefficientSeries`` multiplies through it and so does the [m]-series
+  build of ``formal_groups``;
+* ``truncated_product`` / ``truncated_unit_inverse`` -- the tuple-keyed
+  oracle: sparse maps from exponent tuples to ``PuiseuxSeries``, cut at a
+  total-degree bound, one series product per pair of terms.  The bivariate
+  formal-group build (``ec_formal_group``) runs on it;
 * ``weierstrass_prepare`` -- factor a power series f(x) over R = F_q[[t]]
   (or a ramified extension) as unit * monic distinguished polynomial,
   lifting one t-slice at a time from the residual; a slice is a map
@@ -88,6 +95,192 @@ def truncated_unit_inverse(a, bound):
                 acc[k] = acc[k] + v if k in acc else v
         layers.append({k: -v for k, v in acc.items() if not v.is_exact_zero})
     return {k: v for layer in layers for k, v in layer.items()}
+
+
+# ---------------------------------------------------------------------------
+# x-series packed into one code map (Kronecker substitution in x)
+
+#: bits of t-exponent per x-degree slot: x^i t^(e/n) is the key i << SH | e
+SH = 20
+
+
+def _check_slots(codes):
+    """Refuse t-exponents that a product could carry into the next x-slot.
+
+    Every packed exponent stays below 2**(SH - 1), so the exponent sums of
+    a product stay below 2**SH; a product of such maps can only break the
+    bound through bit SH - 1.
+    """
+    half = 1 << (SH - 1)
+    if any(map(half.__and__, codes)):
+        raise ComputationError(
+            "t-exponent %d does not fit a packed x-slot of %d bits"
+            % (max(k & ((1 << SH) - 1) for k in codes), SH)
+        )
+
+
+def packed_grid(coeffs):
+    """The common grid of some series: the lcm of their ramification
+    indices and of the denominators of their truncations."""
+    n = 1
+    for c in coeffs:
+        n = math.lcm(n, c.n_ram, 1 if c.trunc is None else c.trunc.denominator)
+    return n
+
+
+def pack(coeffs, n, offset=0):
+    """An x-series as (codes, cuts) on the grid t^(1/n).
+
+    ``coeffs[i]`` is the coefficient of x^i; its term e/n goes to the key
+    i << SH | (e - offset), and a truncated coefficient records the cut
+    ``{i: T*n - offset}``.  A degree absent from both maps is exactly zero;
+    a cut with no codes is zero at precision.  ``n`` must be a multiple of
+    ``packed_grid(coeffs)``, and every exponent minus ``offset`` must lie in
+    [0, 2**(SH - 1)).
+    """
+    half = 1 << (SH - 1)
+    codes, cuts = {}, {}
+    for i, c in enumerate(coeffs):
+        scale = n // c.n_ram
+        for e, code in c.coeffs.items():
+            e = e * scale - offset
+            if not 0 <= e < half:
+                raise ComputationError(
+                    "t-exponent %d does not fit a packed x-slot of %d bits" % (e, SH)
+                )
+            codes[i << SH | e] = code
+        if c.trunc is not None:
+            cuts[i] = int(c.trunc * n) - offset
+    return codes, cuts
+
+
+def unpack(field, packed, n, offset=0):
+    """The map {(i,): c_i} of the coefficients of a packed x-series that are
+    not exactly zero: one ``PuiseuxSeries`` per x-degree."""
+    codes, cuts = packed
+    mask = (1 << SH) - 1
+    slices = {i: {} for i in cuts}
+    for k, c in codes.items():
+        slices.setdefault(k >> SH, {})[(k & mask) + offset] = c
+    return {
+        (i,): PuiseuxSeries._from_valid(
+            field, s, n, Fraction(cuts[i] + offset, n) if i in cuts else None
+        )
+        for i, s in slices.items()
+    }
+
+
+def _lows(packed):
+    """{i: least exponent} per present x-degree; the cut stands in for it on
+    a coefficient that is zero at precision."""
+    codes, cuts = packed
+    mask = (1 << SH) - 1
+    lows = dict(cuts)
+    for k in codes:
+        i, e = k >> SH, k & mask
+        low = lows.get(i)
+        if low is None or e < low:
+            lows[i] = e
+    return lows
+
+
+def _filter_cuts(codes, cuts):
+    """The codes that lie below the cut of their x-degree."""
+    mask, inf = (1 << SH) - 1, 1 << SH
+    return {k: c for k, c in codes.items() if k & mask < cuts.get(k >> SH, inf)}
+
+
+def packed_product(field, a, b, bound):
+    """a * b cut above x-degree ``bound``: one ``code_product`` on the keys.
+
+    The cut of degree k is the min over i + j = k of cut_a(i) + low_b(j)
+    and low_a(i) + cut_b(j), the rule of ``PuiseuxSeries.__mul__`` summed
+    as ``PuiseuxSeries.__add__`` sums; the codes at or above it are dropped.
+    """
+    (codes_a, cuts_a), (codes_b, cuts_b) = a, b
+    if not (codes_a or cuts_a) or not (codes_b or cuts_b):
+        return {}, {}
+    codes = code_product(field, codes_a, codes_b, (bound + 1) << SH)
+    cuts = {}
+    for cuts_x, y in ((cuts_a, b), (cuts_b, a)):
+        if not cuts_x:
+            continue
+        lows = _lows(y)
+        for i, cut in cuts_x.items():
+            for j, low in lows.items():
+                k = i + j
+                if k <= bound and (k not in cuts or cut + low < cuts[k]):
+                    cuts[k] = cut + low
+    if cuts:
+        codes = _filter_cuts(codes, cuts)
+    _check_slots(codes)
+    return codes, cuts
+
+
+def packed_sum(field, parts):
+    """The sum of packed x-series, each degree cut at the least of its cuts."""
+    parts = list(parts)
+    codes = code_sum(field, (c for c, _ in parts))
+    cuts = {}
+    for _, part_cuts in parts:
+        for i, cut in part_cuts.items():
+            if i not in cuts or cut < cuts[i]:
+                cuts[i] = cut
+    return (_filter_cuts(codes, cuts) if cuts else codes), cuts
+
+
+def packed_scale(field, packed, c):
+    """The product with the nonzero scalar code ``c``."""
+    codes, cuts = packed
+    mul = field.code_mul
+    return {k: mul(c, v) for k, v in codes.items()}, cuts
+
+
+def packed_shift(packed, k, bound):
+    """The product with x^k, cut above x-degree ``bound``."""
+    codes, cuts = packed
+    top, step = (bound + 1 - k) << SH, k << SH
+    return (
+        {key + step: c for key, c in codes.items() if key < top},
+        {i + k: cut for i, cut in cuts.items() if i + k <= bound},
+    )
+
+
+def packed_slices(packed, top):
+    """The packed x-series of degree i alone, for i = 0..top."""
+    codes, cuts = packed
+    slices = [({}, {}) for _ in range(top + 1)]
+    for k, c in codes.items():
+        i = k >> SH
+        if i <= top:
+            slices[i][0][k] = c
+    for i, cut in cuts.items():
+        if i <= top:
+            slices[i][1][i] = cut
+    return slices
+
+
+def packed_unit_inverse(field, a, bound):
+    """The inverse of a packed x-series with constant term exactly 1, cut
+    above x-degree ``bound``, solved degree by degree as in
+    ``truncated_unit_inverse``."""
+    parts = packed_slices(a, bound)
+    if parts[0] != ({0: 1}, {}):
+        raise ComputationError("unit inverse needs a constant term exactly 1")
+    neg = field.code_neg
+    live = [j for j in range(1, bound + 1) if parts[j] != ({}, {})]
+    codes, cuts = {0: 1}, {}
+    layers = [parts[0]]
+    for d in range(1, bound + 1):
+        acc_codes, acc_cuts = packed_sum(
+            field,
+            (packed_product(field, parts[j], layers[d - j], d) for j in live if j <= d),
+        )
+        layer = {k: neg(c) for k, c in acc_codes.items()}, acc_cuts
+        layers.append(layer)
+        codes.update(layer[0])
+        cuts.update(acc_cuts)
+    return codes, cuts
 
 
 class CoefficientSeries:
@@ -196,8 +389,20 @@ class CoefficientSeries:
                 bounds.append(other.x_trunc + (0 if sb is INFINITY else sb))
             xt = min(bounds)
             top = xt
-        prod = truncated_product(self.terms(), other.terms(), top)
-        return CoefficientSeries.from_terms(self.field, prod, xt)
+        # each operand packed above its least t-exponent, so negative and
+        # ramified exponents pack; the product's offset is the sum
+        field = self.field
+        n = packed_grid(self.coeffs + other.coeffs)
+        packed, offset = [], 0
+        for s in (self, other):
+            low = min(
+                (int(c.valuation_lower_bound() * n) for c in s.coeffs if not c.is_exact_zero),
+                default=0,
+            )
+            packed.append(pack(s.coeffs, n, low))
+            offset += low
+        prod = packed_product(field, packed[0], packed[1], top)
+        return CoefficientSeries.from_terms(field, unpack(field, prod, n, offset), xt)
 
     def agrees_with(self, other, below=None):
         """Coefficientwise agreement up to the shared x- and t-truncations."""

@@ -111,21 +111,35 @@ def code_sum(field, maps, cut=None):
     return {e: c for e, c in out.items() if c and (cut is None or e < cut)}
 
 
+#: a second operand of ``code_product`` with more terms than this is sorted
+#: when the cut binds; a shorter one costs more to sort than to scan
+_SORT_ABOVE = 16
+
+
 def code_product(field, a, b, cut):
     """The map of nonzero codes of a * b at exponents below ``cut`` (None:
-    no bound), for two exponent -> code maps on one grid."""
+    no bound), for two exponent -> code maps on one grid.
+
+    A long ``b`` under a binding cut is walked in exponent order, so each
+    term of ``a`` stops at the first term of ``b`` past its room below
+    ``cut``.
+    """
     if cut is None:
         cut = max(a) + max(b) + 1
+    ordered = bool(a) and len(b) > _SORT_ABOVE and max(a) + max(b) >= cut
+    b = sorted(b.items()) if ordered else b.items()
     if field.degree == 1:
         p = field.p
         acc = {}
         get = acc.get
         for e1, c1 in a.items():
             room = cut - e1
-            for e2, c2 in b.items():
+            for e2, c2 in b:
                 if e2 < room:
                     e = e1 + e2
                     acc[e] = get(e, 0) + c1 * c2
+                elif ordered:
+                    break
         out = {}
         for e, c in acc.items():
             c %= p
@@ -137,11 +151,13 @@ def code_product(field, a, b, cut):
     get = out.get
     for e1, c1 in a.items():
         room = cut - e1
-        for e2, c2 in b.items():
+        for e2, c2 in b:
             if e2 < room:
                 e = e1 + e2
                 s = get(e)
                 out[e] = mul(c1, c2) if s is None else add(s, mul(c1, c2))
+            elif ordered:
+                break
     return {e: c for e, c in out.items() if c}
 
 

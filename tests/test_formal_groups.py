@@ -29,8 +29,20 @@ from monodromy_lab.formal_groups import (
     verify_ladder,
     verify_tower,
 )
-from monodromy_lab.formal_groups import _madd, _w_series
-from monodromy_lab.polynomials import CoefficientSeries, truncated_product
+from monodromy_lab import polynomials
+from monodromy_lab.formal_groups import (
+    _check_linear_coefficient,
+    _madd,
+    _mone,
+    _mscale,
+    _truncation,
+    _w_series,
+)
+from monodromy_lab.polynomials import (
+    CoefficientSeries,
+    truncated_product,
+    truncated_unit_inverse,
+)
 from monodromy_lab.reports import emit_error_report
 
 F2 = FiniteField(2)
@@ -251,6 +263,214 @@ def test_multiplication_series_refuses_like_the_oracle():
             build(30)
     with pytest.raises(ComputationError, match="m >= 1"):
         multiplication_series(WeierstrassModel.from_ints(F3, a4=1), 0)
+
+
+# -- [m] on packed codes, against the tuple-keyed build it replaced ------------
+#
+# The reference below is the build before x-series were packed into one code
+# map: w(z), the chord step, the third point and the negation on 1-tuple-keyed
+# maps of PuiseuxSeries, one series product per pair of terms.
+
+
+def _reference_w_series(model, bound):
+    a1, a2, a3, a4, a6 = model.coefficients()
+    zero = PuiseuxSeries.zero(model.field)
+    w = [zero] * (bound + 1)
+    w2 = [zero] * (bound + 1)
+    w3 = [zero] * (bound + 1)
+    w[3] = PuiseuxSeries.one(model.field)
+    for n in range(4, bound + 1):
+        w2[n] = sum((w[i] * w[n - i] for i in range(3, n - 2)), zero)
+        w3[n] = sum((w2[i] * w[n - i] for i in range(6, n - 2)), zero)
+        w[n] = (
+            a1 * w[n - 1] + a2 * w[n - 2] + a3 * w2[n] + a4 * w2[n - 1] + a6 * w3[n]
+        )
+    return {(n,): c for n, c in enumerate(w) if not c.is_exact_zero}
+
+
+def _reference_third_point(model, z1, z2, lam, nu, bound):
+    a1, a2, a3, a4, a6 = model.coefficients()
+    minus = model.field.element(-1)
+    lam_nu = truncated_product(lam, nu, bound)
+    lam2 = truncated_product(lam, lam, bound)
+    big_a = _mone(model.field, 1)
+    for coef, term in ((a2, lam), (a4, lam2), (a6, truncated_product(lam2, lam, bound))):
+        big_a = _madd(big_a, _mscale(term, coef))
+    big_b = _madd(
+        _madd(_mscale(lam, a1), _mscale(lam2, a3)),
+        _madd(
+            _mscale(nu, a2),
+            _madd(
+                _mscale(lam_nu, a4.scale(2)),
+                _mscale(truncated_product(lam2, nu, bound), a6.scale(3)),
+            ),
+        ),
+    )
+    return _madd(
+        _mscale(_madd(z1, z2), minus),
+        _mscale(
+            truncated_product(big_b, truncated_unit_inverse(big_a, bound), bound),
+            minus,
+        ),
+    )
+
+
+def _reference_negate(model, z, w, bound):
+    minus = model.field.element(-1)
+    unit = _madd(
+        _mone(model.field, 1),
+        _mscale(_madd(_mscale(z, model.a1), _mscale(w, model.a3)), minus),
+    )
+    return truncated_product(
+        _mscale(z, minus), truncated_unit_inverse(unit, bound - 1), bound
+    )
+
+
+def _reference_chord_step(model, w, z1, z2, bound):
+    field = model.field
+    one = PuiseuxSeries.one(field)
+    powers = [{(0,): one}]
+    for _ in range(bound):
+        powers.append(truncated_product(powers[-1], z1, bound))
+    lam = {}
+    w_z1 = {}
+    if z2 is None:
+        z2 = z1
+        for (n,), wn in w.items():
+            if n <= bound + 1 and n % field.p:
+                lam = _madd(lam, _mscale(powers[n - 1], wn.scale(n)))
+    else:
+        h = {(0,): one}
+        for n in range(1, bound + 2):
+            wn = w.get((n,))
+            if wn is not None:
+                lam = _madd(lam, _mscale(h, wn))
+            if n <= bound:
+                h = _madd({(e + 1,): c for (e,), c in h.items() if e < bound}, powers[n])
+    for (n,), wn in w.items():
+        if n <= bound:
+            w_z1 = _madd(w_z1, _mscale(powers[n], wn))
+    nu = _madd(w_z1, _mscale(truncated_product(lam, z1, bound), field.element(-1)))
+    z3 = _reference_third_point(model, z1, z2, lam, nu, bound)
+    w3 = _madd(truncated_product(lam, z3, bound), nu)
+    return _reference_negate(model, z3, w3, bound)
+
+
+def _reference_multiplication_series(model, m, x_trunc=None):
+    field = model.field
+    X = _truncation(model, x_trunc)
+    w = _reference_w_series(model, X + 2)
+    z = {(1,): PuiseuxSeries.one(field)}
+    zero = PuiseuxSeries.zero(field)
+    result, k = z, 1
+    for bit in bin(m)[3:]:
+        for z2 in (None, z) if bit == "1" else (None,):
+            result = _reference_chord_step(model, w, result, z2, X)
+            k = 2 * k if z2 is None else k + 1
+            _check_linear_coefficient(field, result.get((1,), zero), k)
+    return CoefficientSeries.from_terms(field, result, X)
+
+
+def _packed_path_models():
+    """Exact, truncated and ramified models over F_2, F_4, F_3, F_9, F_5."""
+    models = _cross_check_models()
+    for name, model in list(models.items()):
+        models[name + "-truncated"] = WeierstrassModel(
+            *(a.truncate(7 + 2 * i) for i, a in enumerate(model.coefficients()))
+        )
+    half = Fraction(1, 2)
+    models["F3-ramified"] = WeierstrassModel.from_ints(
+        F3, a2=t(F3, half), a4=1, a6=t(F3) + t(F3, Fraction(5, 2), 2)
+    )
+    # t^(1/2) terms, a truncation off the ramification grid, a coefficient
+    # that is zero at precision and one truncated below its own terms' reach
+    models["F5-mixed"] = WeierstrassModel.from_ints(
+        F5,
+        a2=(t(F5, half) + t(F5, 2)).truncate(Fraction(13, 3)),
+        a3=PuiseuxSeries.zero_at_precision(F5, 5),
+        a4=1 + t(F5, Fraction(3, 2), 3),
+        a6=(t(F5) + t(F5, 3)).truncate(9),
+    )
+    models["F4-ramified-truncated"] = WeierstrassModel.from_ints(
+        F4, a1=t(F4, half, [0, 1]).truncate(6), a3=1, a6=t(F4, 2)
+    )
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(_packed_path_models()))
+def test_multiplication_series_equals_the_tuple_keyed_build(name):
+    model = _packed_path_models()[name]
+    p = model.field.p
+    x = max(6, p * p)
+    for m in sorted({2, 3, 4, p}):
+        got = multiplication_series(model, m, x)
+        want = _reference_multiplication_series(model, m, x)
+        assert got.x_trunc == want.x_trunc == x
+        # == on PuiseuxSeries compares codes, n_ram and the truncation
+        assert got.coeffs == want.coeffs, (name, m)
+    if "truncated" in name or name == "F5-mixed":
+        assert any(not c.is_exact for c in got.coeffs)
+
+
+def test_w_series_equals_the_tuple_keyed_solve():
+    for model in _packed_path_models().values():
+        assert _w_series(model, 16) == _reference_w_series(model, 16)
+
+
+def test_packed_slot_guard_refuses_a_carry(monkeypatch):
+    # a2 = t^3 packs into 4-bit slots (exponents < 8), but w_9 = t^9 + ...
+    model = WeierstrassModel.from_ints(F5, a2=t(F5, 3), a4=1)
+    want = _reference_multiplication_series(model, 2, 12)
+    assert multiplication_series(model, 2, 12).coeffs == want.coeffs
+    assert any(e >= 8 for c in want.coeffs for e in c.coeffs)
+    monkeypatch.setattr(polynomials, "SH", 4)
+    with pytest.raises(ComputationError, match="does not fit a packed x-slot of 4 bits"):
+        multiplication_series(model, 2, 12)
+    # an input exponent past the slot is refused when it is packed
+    monkeypatch.setattr(polynomials, "SH", 2)
+    with pytest.raises(ComputationError, match="t-exponent 3 does not fit"):
+        multiplication_series(model, 2, 12)
+
+
+def test_multiplication_series_builds_no_series_per_term(monkeypatch):
+    # only the discriminant's fixed work goes through PuiseuxSeries: the
+    # count at X = 12 equals the count at X = 30
+    counts = {}
+    for method in ("__mul__", "__add__", "scale"):
+        original = getattr(PuiseuxSeries, method)
+
+        def counted(*args, _original=original, _method=method, **kwargs):
+            counts[_method] = counts.get(_method, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(PuiseuxSeries, method, counted)
+    seen = []
+    for x in (12, 30):
+        counts.clear()
+        model = WeierstrassModel.from_ints(F5, a2=t(F5), a4=1, a6=t(F5, 2))
+        multiplication_series(model, 5, x)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["__mul__"] > 0
+
+
+def test_formal_group_scenario_computes_the_discriminant_once(monkeypatch):
+    calls = []
+    original = formal_groups._discriminant
+
+    def counted(*coefficients):
+        calls.append(coefficients)
+        return original(*coefficients)
+
+    monkeypatch.setattr(formal_groups, "_discriminant", counted)
+    shipped = resources.files("monodromy_lab") / "data" / "scenarios" / "elliptic_igusa_f2.json"
+    assert scenarios.run_scenario(json.loads(shipped.read_text())).ok
+    assert len(calls) == 1
+    # the cusp is refused for its discriminant after the same single check
+    calls.clear()
+    with pytest.raises(ComputationError, match="discriminant is exactly zero"):
+        scenarios.run_scenario({"kind": "formal-group", "field": {"p": 3}, "model": {}})
+    assert len(calls) == 1
 
 
 # Error documents of formal-group scenarios, pinned from the build through

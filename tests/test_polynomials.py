@@ -18,10 +18,14 @@ from monodromy_lab.polynomials import (
     Segment,
     _substitute,
     newton_polygon,
+    pack,
+    packed_grid,
+    packed_unit_inverse,
     puiseux_roots,
     root_valuations,
     truncated_product,
     truncated_unit_inverse,
+    unpack,
     weierstrass_prepare,
 )
 
@@ -80,6 +84,35 @@ def test_unit_inverse_refuses_constant_other_than_one(constant):
         truncated_unit_inverse(unit, 4)
 
 
+@pytest.mark.parametrize("field", [F2, F4, F3, F9, F5], ids=["F2", "F4", "F3", "F9", "F5"])
+def test_packed_unit_inverse_equals_the_tuple_keyed_inverse(field):
+    rng = random.Random(field.order * 37 + 1)
+    for _ in range(20):
+        coeffs = [one(field)] + [
+            _random_product_coefficient(rng, field) for _ in range(rng.randrange(1, 6))
+        ]
+        # the kernel packs integral series: shift each coefficient to t^0
+        coeffs[1:] = [
+            c if c.is_exact_zero or c.valuation_lower_bound() >= 0
+            else c.shift(-c.valuation_lower_bound())
+            for c in coeffs[1:]
+        ]
+        n = packed_grid(coeffs)
+        terms = {(i,): c for i, c in enumerate(coeffs) if not c.is_exact_zero}
+        got = unpack(field, packed_unit_inverse(field, pack(coeffs, n), 7), n)
+        assert got == truncated_unit_inverse(terms, 7)
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [PuiseuxSeries.constant(F3, 2), one(F3).truncate(4), one(F3) + t(F3), zero(F3)],
+    ids=["two", "one-at-precision", "one-plus-t", "missing"],
+)
+def test_packed_unit_inverse_refuses_constant_other_than_one(constant):
+    with pytest.raises(ComputationError, match="constant term exactly 1"):
+        packed_unit_inverse(F3, pack([constant, t(F3)], 1), 4)
+
+
 def test_product_x_truncation_rule():
     # x_trunc = min(X_a + ord b, X_b + ord a), an exact operand counting as X = inf
     a = CoefficientSeries(F3, [zero(F3), one(F3), t(F3)], x_trunc=4)
@@ -92,6 +125,79 @@ def test_product_x_truncation_rule():
         assert prod.coefficient(5).agrees_with(t(F3, 2))
     assert (a * c).x_trunc == (c * a).x_trunc == min(4 + 2, 3 + 1)
     assert (b * b).x_trunc is None and (b * b).degree() == 6
+
+
+def _random_product_coefficient(rng, field):
+    """Exact zero, exact, truncated or zero at precision, with negative and
+    ramified exponents and truncations off the ramification grid."""
+    kind = rng.choice(("zero", "exact", "exact", "truncated", "at-precision"))
+    if kind == "zero":
+        return zero(field)
+    if kind == "at-precision":
+        return PuiseuxSeries.zero_at_precision(field, Fraction(rng.randrange(-4, 9), rng.choice((1, 2, 3))))
+    n = rng.choice((1, 1, 2, 3, 6))
+    terms = {
+        Fraction(rng.randrange(-4 * n, 6 * n), n): field.element(rng.randrange(1, field.order))
+        for _ in range(rng.randrange(1, 5))
+    }
+    c = PuiseuxSeries.from_terms(field, terms)
+    if kind == "truncated":
+        c = c.truncate(max(terms) + Fraction(rng.randrange(-2, 6), rng.choice((1, 2, 5))))
+    return c
+
+
+def _random_x_series(rng, field):
+    coeffs = [_random_product_coefficient(rng, field) for _ in range(rng.randrange(1, 7))]
+    x_trunc = rng.choice((None, None, len(coeffs) - 1, len(coeffs) + 1, max(0, len(coeffs) - 3)))
+    return CoefficientSeries(field, coeffs, x_trunc)
+
+
+@pytest.mark.parametrize("field", [F2, F4, F3, F9, F5], ids=["F2", "F4", "F3", "F9", "F5"])
+def test_product_equals_the_tuple_keyed_product(field):
+    # the x_trunc rule of CoefficientSeries.__mul__, then truncated_product
+    # on the 1-tuple-keyed terms: the product it replaced
+    rng = random.Random(field.order * 101 + 7)
+    for _ in range(120):
+        a, b = _random_x_series(rng, field), _random_x_series(rng, field)
+        if a.is_polynomial and b.is_polynomial:
+            xt, top = None, len(a.coeffs) + len(b.coeffs) - 2
+        else:
+            bounds = []
+            for s, o in ((a, b), (b, a)):
+                if s.x_trunc is not None:
+                    ob = o.x_order_lower_bound()
+                    bounds.append(s.x_trunc + (0 if ob is INFINITY else ob))
+            xt = top = min(bounds)
+        want = CoefficientSeries.from_terms(field, truncated_product(a.terms(), b.terms(), top), xt)
+        got = a * b
+        assert got.x_trunc == want.x_trunc
+        # == on PuiseuxSeries compares codes, n_ram and the truncation
+        assert got.coeffs == want.coeffs, (a, b)
+
+
+def test_product_of_a_series_known_only_to_precision_with_a_long_one():
+    # no codes on the left, more terms on the right than the kernel scans
+    # unsorted, and an x-bound that cuts the product
+    unknown = CoefficientSeries(F5, [PuiseuxSeries.zero_at_precision(F5, 3)] * 2, x_trunc=1)
+    long = CoefficientSeries(F5, [t(F5, e % 4) for e in range(20)])
+    got = unknown * long
+    assert got.x_trunc == 1
+    assert got.coeffs == (PuiseuxSeries.zero_at_precision(F5, 3),) * 2
+
+
+def test_product_refuses_exponents_past_the_slot():
+    # packed exponents run from each operand's least term, and every packed
+    # exponent, the product's included, stays below 2**(SH - 1) = 2**19
+    wide = CoefficientSeries(F5, [one(F5) + t(F5, 1 << 19)])
+    with pytest.raises(ComputationError, match="t-exponent 524288 does not fit"):
+        wide * wide
+    half_wide = CoefficientSeries(F5, [one(F5) + t(F5, 1 << 18)])
+    with pytest.raises(ComputationError, match="t-exponent 524288 does not fit"):
+        half_wide * half_wide
+    narrow = CoefficientSeries(F5, [t(F5, -(1 << 17)) + t(F5, (1 << 17) - 1)])
+    assert (narrow * narrow).coefficient(0).agrees_with(
+        t(F5, -(1 << 18)) + t(F5, -1, 2) + t(F5, (1 << 18) - 2)
+    )
 
 
 # -- Newton polygons ---------------------------------------------------------
