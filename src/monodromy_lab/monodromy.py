@@ -10,14 +10,23 @@ finite block matrices [[D, W], [0, I]] over Z/p^n with D an invertible
 diagonal block.  The full group of these is the semidirect product of the
 diagonal units and W.  Its derived subgroup is I*W, where I is the ideal of
 Z/p^n generated by {u - 1 : u a unit}: all of W for odd p, but only 2W for
-p = 2.  ``commutator_closure`` enumerates derived subgroups (every
-commutator lands in the unipotent block D = I, which is asserted),
-``elementary_generators`` gives a small generating set of the full group,
-``unipotent_index`` counts the diagonal choices, and ``classify_monodromy``
-maps a reduction-type descriptor to the monodromy outcome together with a
-stable case label.
+p = 2.
 
-Enumeration uses a single-threaded worklist; all outputs are immutable.
+Subgroups are measured by module arithmetic, never by listing elements.
+``BlockSpan`` keeps a Z/p^n-submodule of W in Howell form (Howell, *Linear
+Multilinear Algebra* 19, 1986), so its order and membership are exact.
+``kernel_by_transversal`` searches the diagonal image of H = <generators>
+with one representative per diagonal and collects H ∩ W from Schreier
+generators, so |H| = |diagonal image| * |H ∩ W|; ``derived_span`` is the
+span of the generator commutators closed under conjugation, which acts on W
+as row scaling (every commutator lands in the unipotent block D = I, which
+is asserted).  ``mulclose``, ``commutator_closure``, ``full_block_group``
+and ``unipotent_subgroup`` enumerate elements and serve as bounded test
+oracles.  ``elementary_generators`` gives a small generating set of the full
+group, ``unipotent_index`` counts the diagonal choices, and
+``classify_monodromy`` maps a reduction-type descriptor to the monodromy
+outcome together with a stable case label.  All outputs are immutable
+except a ``BlockSpan`` while it is being built.
 """
 
 import itertools
@@ -254,8 +263,248 @@ class BlockGaloisElement:
         )
 
 
+# ---------------------------------------------------------------------------
+# block subgroups by module arithmetic over Z/p^n
+
+
+class BlockSpan:
+    """A Z/p^n-submodule of the W blocks, kept in Howell form.
+
+    A W block is flattened row by row into a vector of length h*h.  Each
+    echelon row has the entry p^k (k < n) in its first nonzero column, and
+    p^(n-k) times it lies in the span of the rows with later columns
+    (Howell's condition).  So every element is a unique sum of a_i * row_i
+    with 0 <= a_i < p^(n - k_i): the order is p^(sum of n - k_i), and
+    reduction by the rows decides membership.
+    """
+
+    def __init__(self, p, n, half):
+        self.p = p
+        self.n = n
+        self.modulus = p ** n
+        self.size = half * half
+        self.rows = {}  # first nonzero column -> (k, row) with row[column] = p^k
+        self.exponent = 0  # the order is p^exponent
+
+    @property
+    def order(self):
+        return self.p ** self.exponent
+
+    def _reduce(self, v):
+        """Reduce ``v`` in place by the rows; (column, k, unit) of what is
+        left, with v[column] = p^k * unit and no row to clear it, or None
+        when v reduces to 0."""
+        p, mod = self.p, self.modulus
+        for c in range(self.size):
+            a = v[c]
+            if not a:
+                continue
+            k = 0
+            while a % p == 0:
+                a //= p
+                k += 1
+            row = self.rows.get(c)
+            if row is None or row[0] > k:
+                return c, k, a
+            q = v[c] // p ** row[0]
+            r = row[1]
+            for j in range(c, self.size):
+                v[j] = (v[j] - q * r[j]) % mod
+        return None
+
+    def add(self, vector):
+        """Put ``vector`` into the span; True when the span grew."""
+        before = self.exponent
+        if before == self.n * self.size:  # already all of W
+            return False
+        p, n, mod = self.p, self.n, self.modulus
+        pending = [list(vector)]
+        while pending:
+            v = pending.pop()
+            lead = self._reduce(v)
+            if lead is None:
+                continue
+            c, k, unit = lead
+            inv = pow(unit, -1, mod)
+            v = [x * inv % mod for x in v]
+            displaced = self.rows.get(c)
+            self.rows[c] = (k, v)
+            self.exponent += n - k
+            if displaced is not None:
+                # a pivot of lower valuation took its column: reinsert it
+                self.exponent -= n - displaced[0]
+                pending.append(displaced[1])
+            if k:
+                pending.append([x * p ** (n - k) % mod for x in v])
+        return self.exponent > before
+
+    def contains(self, vector):
+        return self._reduce(list(vector)) is None
+
+    def issubset(self, other):
+        return all(other.contains(row) for _, row in self.rows.values())
+
+
+def _flat(w):
+    return [x for row in w for x in row]
+
+
+def _per_entry(diag):
+    """The factor of each flattened W entry when D = ``diag`` scales rows."""
+    return [x for x in diag for _ in diag]
+
+
+def _shape(generators):
+    """(p, n, half) shared by a nonempty generator list."""
+    if not generators:
+        raise ComputationError("no generators")
+    first = generators[0]
+    for g in generators:
+        first._check(g)
+    return first.p, first.n, first.d // 2
+
+
+def kernel_by_transversal(generators):
+    """The diagonal image of H = <generators> and H ∩ W, by Schreier's lemma.
+
+    A breadth-first search over the diagonal image keeps one representative
+    t in H per diagonal.  For a representative t and a generator g, the
+    product x = t g either has a new diagonal and becomes its representative,
+    or gives the Schreier generator x t'^-1 = (I, W_x - W_t') of H ∩ W, where
+    t' represents the diagonal of x.  Those generate H ∩ W, so
+    |H| = |diagonal image| * |H ∩ W|.  Returns the order of the diagonal
+    image and the ``BlockSpan`` of H ∩ W; the search visits at most
+    ENUMERATION_BOUND diagonals.
+    """
+    p, n, half = _shape(generators)
+    mod = p ** n
+    gens = [(g.diag, _flat(g.w)) for g in generators]
+    kernel = BlockSpan(p, n, half)
+    one = (1,) * half
+    reps = {one: [0] * (half * half)}
+    frontier = [one]
+    while frontier:
+        found = []
+        for diag in frontier:
+            w = reps[diag]
+            scale = _per_entry(diag)
+            for gdiag, gw in gens:
+                # t g = (D_t D_g, D_t W_g + W_t)
+                xdiag = tuple(a * b % mod for a, b in zip(diag, gdiag))
+                xw = [(s * y + x) % mod for s, y, x in zip(scale, gw, w)]
+                rep = reps.get(xdiag)
+                if rep is not None:
+                    kernel.add([(x - y) % mod for x, y in zip(xw, rep)])
+                    continue
+                if len(reps) == ENUMERATION_BOUND:
+                    raise ComputationError(
+                        "diagonal image exceeds enumeration bound %d" % ENUMERATION_BOUND
+                    )
+                reps[xdiag] = xw
+                found.append(xdiag)
+        frontier = found
+    return len(reps), kernel
+
+
+def check_commutator_pairs(count, half):
+    """Refuse ``count`` generators of size d = 2 * ``half`` when their
+    pairwise commutators would touch more than 2 * 10^7 W entries."""
+    if count ** 2 * half * half > 2 * 10 ** 7:
+        raise ComputationError(
+            "%d generators with %d W entries are too many for pairwise commutators"
+            % (count, half * half)
+        )
+
+
+def derived_span(generators):
+    """The derived subgroup of H = <generators>, as a ``BlockSpan``.
+
+    It is the normal closure of the commutators of generator pairs.  Each
+    commutator is asserted unipotent, and conjugating (I, W) by (D, V) gives
+    (I, D^-1 W), so the normal closure is their span closed under row
+    scaling by every generator's diagonal.
+    """
+    gens = list(dict.fromkeys(generators))
+    p, n, half = _shape(gens)
+    check_commutator_pairs(len(gens), half)
+    mod = p ** n
+    pending = []
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            c = a.commutator(b)
+            if not c.is_unipotent:
+                raise ComputationError("commutator subgroup left the unipotent block")
+            pending.append(_flat(c.w))
+    scalings = list(dict.fromkeys(tuple(_per_entry(g.diag)) for g in gens))
+    span = BlockSpan(p, n, half)
+    while pending:
+        v = pending.pop()
+        if span.add(v):
+            pending.extend([s * x % mod for s, x in zip(scale, v)] for scale in scalings)
+    return span
+
+
+def unit_difference_span(p, n, d):
+    """The span of {(u - 1) E_ij : u a unit mod p^n}, that is I*W."""
+    half = d // 2
+    mod = p ** n
+    span = BlockSpan(p, n, half)
+    for c in range(half * half):
+        for u in range(2, mod):
+            if u % p:
+                span.add([u - 1 if j == c else 0 for j in range(half * half)])
+    return span
+
+
+def elementary_generators(p, n, d):
+    """A generating set of the full block group for (p, n, d).
+
+    With h = d/2: one element per diagonal slot and unit u != 1 (u in that
+    slot, W = 0), and one per W entry (D = I, W = E_ij), so
+    h * (phi(p^n) - 1) + h^2 elements in all.
+    """
+    half = d // 2
+    mod = p ** n
+    ones = (1,) * half
+    zero = ((0,) * half,) * half
+    gens = [
+        BlockGaloisElement(p, n, d, ones[:i] + (u,) + ones[i + 1 :], zero)
+        for i in range(half)
+        for u in range(2, mod)
+        if u % p
+    ]
+    for i in range(half):
+        for j in range(half):
+            w = tuple(
+                tuple(int((r, c) == (i, j)) for c in range(half)) for r in range(half)
+            )
+            gens.append(BlockGaloisElement(p, n, d, ones, w))
+    return gens
+
+
+def unipotent_index(p, n, d):
+    """Index of the unipotent subgroup in the full block group.
+
+    The quotient is the group of diagonal unit choices, of order
+    ((p-1) p^(n-1))^(d/2).
+    """
+    if d % 2:
+        raise ComputationError("size d must be even")
+    if n < 1 or not is_prime(p):
+        raise ComputationError("need prime p and n >= 1")
+    return ((p - 1) * p ** (n - 1)) ** (d // 2)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: bounded test oracles for the module arithmetic above
+
+
 def mulclose(generators):
-    """The subgroup generated by ``generators``, by worklist closure."""
+    """The subgroup generated by ``generators``, by worklist closure.
+
+    A test oracle for ``kernel_by_transversal``: it lists every element, so
+    it stops past ENUMERATION_BOUND of them.
+    """
     gens = [g for g in generators]
     if not gens:
         raise ComputationError("no generators")
@@ -285,7 +534,8 @@ def commutator_closure(generators):
     conjugation by the generators (normal closure): <S> is normal in <T>
     once t^-1 s t lies in <S> for every s in S and t in T, so only the seed
     is conjugated.  Asserts that everything produced is unipotent, as the
-    block shape demands.
+    block shape demands.  A test oracle for ``derived_span``: it lists every
+    element through ``mulclose``.
     """
     gens = list(dict.fromkeys(generators))
     if not gens:
@@ -315,34 +565,9 @@ def commutator_closure(generators):
         seed |= new
 
 
-def elementary_generators(p, n, d):
-    """A generating set of the full block group for (p, n, d).
-
-    With h = d/2: one element per diagonal slot and unit u != 1 (u in that
-    slot, W = 0), and one per W entry (D = I, W = E_ij), so
-    h * (phi(p^n) - 1) + h^2 elements in all.
-    """
-    half = d // 2
-    mod = p ** n
-    ones = (1,) * half
-    zero = ((0,) * half,) * half
-    gens = [
-        BlockGaloisElement(p, n, d, ones[:i] + (u,) + ones[i + 1 :], zero)
-        for i in range(half)
-        for u in range(2, mod)
-        if u % p
-    ]
-    for i in range(half):
-        for j in range(half):
-            w = tuple(
-                tuple(int((r, c) == (i, j)) for c in range(half)) for r in range(half)
-            )
-            gens.append(BlockGaloisElement(p, n, d, ones, w))
-    return gens
-
-
 def full_block_group(p, n, d):
-    """Every block element for (p, n, d); sizes are checked against the bound."""
+    """Every block element for (p, n, d), a test oracle; sizes are checked
+    against the bound."""
     half = d // 2
     mod = p ** n
     units = [u for u in range(1, mod) if u % p]
@@ -358,7 +583,8 @@ def full_block_group(p, n, d):
 
 
 def unipotent_subgroup(p, n, d):
-    """All [[I, W], [0, I]] elements."""
+    """All [[I, W], [0, I]] elements, a test oracle; sizes are checked
+    against the bound."""
     half = d // 2
     mod = p ** n
     order = mod ** (half * half)
@@ -369,19 +595,6 @@ def unipotent_subgroup(p, n, d):
         w = tuple(flat[i * half : (i + 1) * half] for i in range(half))
         out.append(BlockGaloisElement(p, n, d, (1,) * half, w))
     return out
-
-
-def unipotent_index(p, n, d):
-    """Index of the unipotent subgroup in the full block group.
-
-    The quotient is the group of diagonal unit choices, of order
-    ((p-1) p^(n-1))^(d/2).
-    """
-    if d % 2:
-        raise ComputationError("size d must be even")
-    if n < 1 or not is_prime(p):
-        raise ComputationError("need prime p and n >= 1")
-    return ((p - 1) * p ** (n - 1)) ** (d // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,23 @@ def test_galois_generator_list_needs_no_enumeration_of_w():
     assert report.result["unipotent_order"] == 3 ** 16
 
 
-def test_galois_full_group_over_the_bound_is_refused():
+def test_galois_full_group_over_the_bound_is_reported():
+    # |G| = 172186884 is over the enumeration bound, but its diagonal image
+    # (18^2 cosets) is not, so module arithmetic reports it
     doc = {"kind": "galois", "p": 3, "n": 3, "d": 4, "generators": "full"}
-    with pytest.raises(ComputationError, match="order 172186884 exceeds bound"):
+    report = run_scenario(doc)
+    assert report.ok
+    assert report.result["group_order"] == 172186884
+
+
+def test_galois_full_diagonal_image_over_the_bound_is_refused(monkeypatch):
+    def no_generators(*_args):
+        raise AssertionError("generators built before the closed-form refusal")
+
+    monkeypatch.setattr("monodromy_lab.scenarios.elementary_generators", no_generators)
+    # phi(11^3)^3 = 1210^3 diagonal choices
+    doc = {"kind": "galois", "p": 11, "n": 3, "d": 6, "generators": "full"}
+    with pytest.raises(ComputationError, match="order 1771561000 exceeds bound"):
         run_scenario(doc)
 
 
@@ -261,9 +275,9 @@ def test_selftest_passes_every_shipped_golden(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = scenario_names()
-    assert len(names) == 14
+    assert len(names) == 15
     assert [line.split()[:2] for line in lines[:-1]] == [["[PASS]", n] for n in names]
-    assert lines[-1] == "14/14 scenarios match their goldens"
+    assert lines[-1] == "15/15 scenarios match their goldens"
 
 
 def test_selftest_fails_only_the_corrupted_scenario(capsys, monkeypatch):
@@ -276,8 +290,8 @@ def test_selftest_fails_only_the_corrupted_scenario(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     failed = [line.split()[1] for line in lines if line.startswith("[FAIL]")]
     assert failed == ["polygon_two_term"]
-    assert sum(line.startswith("[PASS]") for line in lines) == 13
-    assert lines[-1] == "13/14 scenarios match their goldens"
+    assert sum(line.startswith("[PASS]") for line in lines) == 14
+    assert lines[-1] == "14/15 scenarios match their goldens"
 
 
 def test_selftest_output_does_not_depend_on_the_hash_seed():
@@ -291,4 +305,4 @@ def test_selftest_output_does_not_depend_on_the_hash_seed():
         )
         outputs.append(re.sub(r"\s+\d+\.\d+s$", "", proc.stdout, flags=re.M))
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("[PASS]") == 14
+    assert outputs[0].count("[PASS]") == 15

@@ -1,12 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from monodromy_lab import ComputationError, FiniteField, PuiseuxSeries
+from monodromy_lab import ComputationError, FiniteField, PuiseuxSeries, monodromy, scenarios
 from monodromy_lab.monodromy import (
     AbelianPartDescriptor,
     BlockGaloisElement,
+    BlockSpan,
     FINITE_INDEX_INERTIA,
     TRIVIAL_IMAGE,
     UNIPOTENT_INERTIA,
@@ -14,12 +17,15 @@ from monodromy_lab.monodromy import (
     UniformizationData,
     classify_monodromy,
     commutator_closure,
+    derived_span,
     elementary_generators,
     full_block_group,
+    kernel_by_transversal,
     mulclose,
     tate_torsion_tower,
     unipotent_index,
     unipotent_subgroup,
+    unit_difference_span,
 )
 
 F2 = FiniteField(2)
@@ -227,6 +233,106 @@ def test_commutator_closure_of_a_seed_that_is_not_normal():
     derived = commutator_closure([a, b])
     assert len(derived) == 25
     assert derived == commutator_closure(list(mulclose([a, b])))
+
+
+# -- module arithmetic against the enumeration oracles ------------------------------
+
+
+def _module_orders(generators):
+    diagonal_order, kernel = kernel_by_transversal(generators)
+    derived = derived_span(generators)
+    return diagonal_order * kernel.order, derived.order, derived.issubset(kernel)
+
+
+def _oracle_orders(generators):
+    group = mulclose(generators)
+    derived = commutator_closure(generators)
+    return len(group), len(derived), derived <= group
+
+
+def test_block_span_keeps_the_howell_row():
+    # over Z/4 the span of (2, 1, 0, 0) also holds 2 * (2, 1, 0, 0) = (0, 2, 0, 0)
+    span = BlockSpan(2, 2, 2)
+    assert span.add([2, 1, 0, 0])
+    assert span.order == 4
+    assert span.contains([0, 2, 0, 0])
+    assert not span.contains([0, 1, 0, 0])
+    assert not span.add([2, 3, 0, 0])
+
+
+@pytest.mark.parametrize("pnd", sorted(_DERIVED_ORDERS))
+def test_module_orders_match_the_oracles_on_elementary_generators(pnd):
+    gens = elementary_generators(*pnd)
+    orders = _module_orders(gens)
+    assert orders == _oracle_orders(gens)
+    assert orders[1] == _DERIVED_ORDERS[pnd]
+    assert unit_difference_span(*pnd).order == _DERIVED_ORDERS[pnd]
+
+
+def test_module_orders_match_the_oracles_on_a_seed_that_is_not_normal():
+    a = BlockGaloisElement(5, 1, 4, (2, 3), ((0, 0), (0, 0)))
+    b = BlockGaloisElement(5, 1, 4, (1, 1), ((1, 0), (0, 1)))
+    assert _module_orders([a, b]) == _oracle_orders([a, b]) == (100, 25, True)
+    assert _module_orders([b, a]) == (100, 25, True)
+
+
+@pytest.mark.parametrize("pnd", [(2, 3, 2), (2, 2, 4), (3, 1, 4), (5, 1, 4), (3, 1, 6)])
+def test_module_orders_match_the_oracles_on_seeded_generator_lists(pnd):
+    p, n, d = pnd
+    half = d // 2
+    mod = p ** n
+    units = [u for u in range(1, mod) if u % p]
+    rng = random.Random(8119 + 100 * p + 10 * n + d)
+    for _ in range(8):
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            diag = tuple(rng.choice(units) for _ in range(half))
+            w = tuple(
+                tuple(rng.randrange(mod) if rng.random() < 0.5 else 0 for _ in range(half))
+                for _ in range(half)
+            )
+            gens.append(BlockGaloisElement(p, n, d, diag, w))
+        assert _module_orders(gens) == _oracle_orders(gens), gens
+
+
+def test_full_group_p3_n2_d4_by_module_arithmetic():
+    gens = elementary_generators(3, 2, 4)
+    diagonal_order, kernel = kernel_by_transversal(gens)
+    assert diagonal_order * kernel.order == 236196
+    assert derived_span(gens).order == 3 ** 8 == 6561
+
+
+def test_commutator_pairs_are_bounded_by_the_w_entries_they_touch():
+    monodromy.check_commutator_pairs(4472, 1)
+    monodromy.check_commutator_pairs(2236, 2)
+    for count, half in ((4473, 1), (2237, 2)):
+        with pytest.raises(ComputationError, match="too many for pairwise commutators"):
+            monodromy.check_commutator_pairs(count, half)
+
+
+def test_galois_scenarios_never_enumerate(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a galois scenario listed group elements")
+
+    for module in (monodromy, scenarios):
+        for name in ("mulclose", "commutator_closure", "full_block_group", "unipotent_subgroup"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    shipped = resources.files("monodromy_lab") / "data" / "scenarios"
+    docs = [
+        json.loads((shipped / name).read_text())
+        for name in ("galois_p3_n1_d2.json", "galois_p3_n1_d4.json")
+    ]
+    docs.append({
+        "kind": "galois", "p": 5, "n": 1, "d": 4,
+        "generators": [
+            {"diag": [2, 3], "w": [[1, 4], [0, 2]]},
+            {"diag": [1, 1], "w": [[1, 0], [3, 1]]},
+        ],
+    })
+    for doc in docs:
+        report = scenarios.run_scenario(doc)
+        assert report.ok
 
 
 # -- unipotent index -------------------------------------------------------------
