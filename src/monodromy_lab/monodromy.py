@@ -36,6 +36,8 @@ from .errors import ComputationError
 from .fields import is_prime
 
 ENUMERATION_BOUND = 10 ** 6
+# the closed-form cost a "full" galois scenario may have (about 1 s)
+FULL_WORK_BOUND = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +265,143 @@ class BlockGaloisElement:
         )
 
 
+def mulclose(generators):
+    """The subgroup generated by ``generators``, by worklist closure.
+
+    A test oracle for ``kernel_by_transversal``: it lists every element, so
+    it stops past ENUMERATION_BOUND of them.
+    """
+    gens = [g for g in generators]
+    if not gens:
+        raise ComputationError("no generators")
+    idem = BlockGaloisElement.identity(gens[0].p, gens[0].n, gens[0].d)
+    group = {idem}
+    frontier = [idem]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in group:
+                    group.add(y)
+                    nxt.append(y)
+                    if len(group) > ENUMERATION_BOUND:
+                        raise ComputationError(
+                            "enumeration bound %d exceeded" % ENUMERATION_BOUND
+                        )
+        frontier = nxt
+    return frozenset(group)
+
+
+def commutator_closure(generators):
+    """Derived subgroup of the group generated by ``generators``.
+
+    Seeds with the commutators of generator pairs and closes the seed under
+    conjugation by the generators (normal closure): <S> is normal in <T>
+    once t^-1 s t lies in <S> for every s in S and t in T, so only the seed
+    is conjugated.  Asserts that everything produced is unipotent, as the
+    block shape demands.  A test oracle for ``derived_span``: it lists every
+    element through ``mulclose``.
+    """
+    gens = list(dict.fromkeys(generators))
+    if not gens:
+        raise ComputationError("no generators")
+    if len(gens) ** 2 > 2 * 10 ** 7:
+        raise ComputationError("too many generators for pairwise commutators")
+    inverses = [g.inverse() for g in gens]
+    # unordered pairs suffice: [b, a] = [a, b]^-1 generates the same subgroup
+    seed = set()
+    for i, a in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            b = gens[j]
+            seed.add(inverses[i] * inverses[j] * a * b)
+    if not seed:
+        seed = {gens[0] * inverses[0]}
+    while True:
+        subgroup = mulclose(seed)
+        new = {ginv * s * g for ginv, g in zip(inverses, gens) for s in seed}
+        new -= subgroup
+        if not new:
+            for h in subgroup:
+                if not h.is_unipotent:
+                    raise ComputationError(
+                        "commutator subgroup left the unipotent block"
+                    )
+            return subgroup
+        seed |= new
+
+
+def elementary_generators(p, n, d):
+    """A generating set of the full block group for (p, n, d).
+
+    With h = d/2: one element per diagonal slot and unit u != 1 (u in that
+    slot, W = 0), and one per W entry (D = I, W = E_ij), so
+    h * (phi(p^n) - 1) + h^2 elements in all.
+    """
+    half = d // 2
+    mod = p ** n
+    ones = (1,) * half
+    zero = ((0,) * half,) * half
+    gens = [
+        BlockGaloisElement(p, n, d, ones[:i] + (u,) + ones[i + 1 :], zero)
+        for i in range(half)
+        for u in range(2, mod)
+        if u % p
+    ]
+    for i in range(half):
+        for j in range(half):
+            w = tuple(
+                tuple(int((r, c) == (i, j)) for c in range(half)) for r in range(half)
+            )
+            gens.append(BlockGaloisElement(p, n, d, ones, w))
+    return gens
+
+
+def full_block_group(p, n, d):
+    """Every block element for (p, n, d), a test oracle; sizes are checked
+    against the bound."""
+    half = d // 2
+    mod = p ** n
+    units = [u for u in range(1, mod) if u % p]
+    order = len(units) ** half * mod ** (half * half)
+    if order > ENUMERATION_BOUND:
+        raise ComputationError("full block group order %d exceeds bound" % order)
+    elements = []
+    for diag in itertools.product(units, repeat=half):
+        for flat in itertools.product(range(mod), repeat=half * half):
+            w = tuple(flat[i * half : (i + 1) * half] for i in range(half))
+            elements.append(BlockGaloisElement(p, n, d, diag, w))
+    return elements
+
+
+def unipotent_subgroup(p, n, d):
+    """All [[I, W], [0, I]] elements, a test oracle; sizes are checked
+    against the bound."""
+    half = d // 2
+    mod = p ** n
+    order = mod ** (half * half)
+    if order > ENUMERATION_BOUND:
+        raise ComputationError("unipotent subgroup order %d exceeds bound" % order)
+    out = []
+    for flat in itertools.product(range(mod), repeat=half * half):
+        w = tuple(flat[i * half : (i + 1) * half] for i in range(half))
+        out.append(BlockGaloisElement(p, n, d, (1,) * half, w))
+    return out
+
+
+def unipotent_index(p, n, d):
+    """Index of the unipotent subgroup in the full block group.
+
+    The quotient is the group of diagonal unit choices, of order
+    ((p-1) p^(n-1))^(d/2).
+    """
+    if d % 2:
+        raise ComputationError("size d must be even")
+    if n < 1 or not is_prime(p):
+        raise ComputationError("need prime p and n >= 1")
+    return ((p - 1) * p ** (n - 1)) ** (d // 2)
+
+
 # ---------------------------------------------------------------------------
 # block subgroups by module arithmetic over Z/p^n
 
@@ -406,16 +545,6 @@ def kernel_by_transversal(generators):
     return len(reps), kernel
 
 
-def check_commutator_pairs(count, half):
-    """Refuse ``count`` generators of size d = 2 * ``half`` when their
-    pairwise commutators would touch more than 2 * 10^7 W entries."""
-    if count ** 2 * half * half > 2 * 10 ** 7:
-        raise ComputationError(
-            "%d generators with %d W entries are too many for pairwise commutators"
-            % (count, half * half)
-        )
-
-
 def derived_span(generators):
     """The derived subgroup of H = <generators>, as a ``BlockSpan``.
 
@@ -426,7 +555,8 @@ def derived_span(generators):
     """
     gens = list(dict.fromkeys(generators))
     p, n, half = _shape(gens)
-    check_commutator_pairs(len(gens), half)
+    if len(gens) ** 2 > 2 * 10 ** 7:
+        raise ComputationError("too many generators for pairwise commutators")
     mod = p ** n
     pending = []
     for i, a in enumerate(gens):
@@ -454,147 +584,6 @@ def unit_difference_span(p, n, d):
             if u % p:
                 span.add([u - 1 if j == c else 0 for j in range(half * half)])
     return span
-
-
-def elementary_generators(p, n, d):
-    """A generating set of the full block group for (p, n, d).
-
-    With h = d/2: one element per diagonal slot and unit u != 1 (u in that
-    slot, W = 0), and one per W entry (D = I, W = E_ij), so
-    h * (phi(p^n) - 1) + h^2 elements in all.
-    """
-    half = d // 2
-    mod = p ** n
-    ones = (1,) * half
-    zero = ((0,) * half,) * half
-    gens = [
-        BlockGaloisElement(p, n, d, ones[:i] + (u,) + ones[i + 1 :], zero)
-        for i in range(half)
-        for u in range(2, mod)
-        if u % p
-    ]
-    for i in range(half):
-        for j in range(half):
-            w = tuple(
-                tuple(int((r, c) == (i, j)) for c in range(half)) for r in range(half)
-            )
-            gens.append(BlockGaloisElement(p, n, d, ones, w))
-    return gens
-
-
-def unipotent_index(p, n, d):
-    """Index of the unipotent subgroup in the full block group.
-
-    The quotient is the group of diagonal unit choices, of order
-    ((p-1) p^(n-1))^(d/2).
-    """
-    if d % 2:
-        raise ComputationError("size d must be even")
-    if n < 1 or not is_prime(p):
-        raise ComputationError("need prime p and n >= 1")
-    return ((p - 1) * p ** (n - 1)) ** (d // 2)
-
-
-# ---------------------------------------------------------------------------
-# enumeration: bounded test oracles for the module arithmetic above
-
-
-def mulclose(generators):
-    """The subgroup generated by ``generators``, by worklist closure.
-
-    A test oracle for ``kernel_by_transversal``: it lists every element, so
-    it stops past ENUMERATION_BOUND of them.
-    """
-    gens = [g for g in generators]
-    if not gens:
-        raise ComputationError("no generators")
-    idem = BlockGaloisElement.identity(gens[0].p, gens[0].n, gens[0].d)
-    group = {idem}
-    frontier = [idem]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in group:
-                    group.add(y)
-                    nxt.append(y)
-                    if len(group) > ENUMERATION_BOUND:
-                        raise ComputationError(
-                            "enumeration bound %d exceeded" % ENUMERATION_BOUND
-                        )
-        frontier = nxt
-    return frozenset(group)
-
-
-def commutator_closure(generators):
-    """Derived subgroup of the group generated by ``generators``.
-
-    Seeds with the commutators of generator pairs and closes the seed under
-    conjugation by the generators (normal closure): <S> is normal in <T>
-    once t^-1 s t lies in <S> for every s in S and t in T, so only the seed
-    is conjugated.  Asserts that everything produced is unipotent, as the
-    block shape demands.  A test oracle for ``derived_span``: it lists every
-    element through ``mulclose``.
-    """
-    gens = list(dict.fromkeys(generators))
-    if not gens:
-        raise ComputationError("no generators")
-    if len(gens) ** 2 > 2 * 10 ** 7:
-        raise ComputationError("too many generators for pairwise commutators")
-    inverses = [g.inverse() for g in gens]
-    # unordered pairs suffice: [b, a] = [a, b]^-1 generates the same subgroup
-    seed = set()
-    for i, a in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            b = gens[j]
-            seed.add(inverses[i] * inverses[j] * a * b)
-    if not seed:
-        seed = {gens[0] * inverses[0]}
-    while True:
-        subgroup = mulclose(seed)
-        new = {ginv * s * g for ginv, g in zip(inverses, gens) for s in seed}
-        new -= subgroup
-        if not new:
-            for h in subgroup:
-                if not h.is_unipotent:
-                    raise ComputationError(
-                        "commutator subgroup left the unipotent block"
-                    )
-            return subgroup
-        seed |= new
-
-
-def full_block_group(p, n, d):
-    """Every block element for (p, n, d), a test oracle; sizes are checked
-    against the bound."""
-    half = d // 2
-    mod = p ** n
-    units = [u for u in range(1, mod) if u % p]
-    order = len(units) ** half * mod ** (half * half)
-    if order > ENUMERATION_BOUND:
-        raise ComputationError("full block group order %d exceeds bound" % order)
-    elements = []
-    for diag in itertools.product(units, repeat=half):
-        for flat in itertools.product(range(mod), repeat=half * half):
-            w = tuple(flat[i * half : (i + 1) * half] for i in range(half))
-            elements.append(BlockGaloisElement(p, n, d, diag, w))
-    return elements
-
-
-def unipotent_subgroup(p, n, d):
-    """All [[I, W], [0, I]] elements, a test oracle; sizes are checked
-    against the bound."""
-    half = d // 2
-    mod = p ** n
-    order = mod ** (half * half)
-    if order > ENUMERATION_BOUND:
-        raise ComputationError("unipotent subgroup order %d exceeds bound" % order)
-    out = []
-    for flat in itertools.product(range(mod), repeat=half * half):
-        w = tuple(flat[i * half : (i + 1) * half] for i in range(half))
-        out.append(BlockGaloisElement(p, n, d, (1,) * half, w))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from .formal_groups import (
 )
 from .monodromy import (
     ENUMERATION_BOUND,
+    FULL_WORK_BOUND,
     AbelianPartDescriptor,
     BlockGaloisElement,
     TateLattice,
     UniformizationData,
-    check_commutator_pairs,
     classify_monodromy,
     derived_span,
     elementary_generators,
@@ -325,7 +325,15 @@ def _parse_generators(doc, p, n, d):
                 "full block group diagonal image order %d exceeds bound %d"
                 % (phi ** half, ENUMERATION_BOUND)
             )
-        check_commutator_pairs(half * (phi - 1) + half * half, half)
+        # |S| products per diagonal and |S|^2 commutators, each costing about
+        # h^2 + 9 entry operations (h^2 W entries plus a fixed overhead)
+        count = half * (phi - 1) + half * half  # |S| = len(elementary_generators)
+        work = (phi ** half + count) * count * (half * half + 9)
+        if work > FULL_WORK_BOUND:
+            raise ComputationError(
+                "full block group needs work %d for %d generators, over bound %d"
+                % (work, count, FULL_WORK_BOUND)
+            )
         return elementary_generators(p, n, d), True
     if not isinstance(spec, list) or not spec:
         raise SchemaError("galois.generators: expected 'full' or a nonempty list")

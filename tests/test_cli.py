@@ -52,14 +52,26 @@ def test_galois_full_group_over_the_bound_is_reported():
     assert report.result["group_order"] == 172186884
 
 
-def test_galois_full_diagonal_image_over_the_bound_is_refused(monkeypatch):
+@pytest.mark.parametrize(
+    "pnd, message",
+    [
+        # phi(11^3)^3 = 1210^3 diagonal choices
+        ((11, 3, 6), "order 1771561000 exceeds bound"),
+        # diagonal images under the bound, but h(phi - 1) + h^2 generators
+        # would make the search too long
+        ((7, 2, 6), "needs work 176346720 "),
+        ((11, 3, 2), "needs work 29282000 "),
+        ((5, 3, 4), "needs work 26790452 "),
+    ],
+)
+def test_galois_full_over_the_bound_is_refused_in_closed_form(monkeypatch, pnd, message):
     def no_generators(*_args):
         raise AssertionError("generators built before the closed-form refusal")
 
     monkeypatch.setattr("monodromy_lab.scenarios.elementary_generators", no_generators)
-    # phi(11^3)^3 = 1210^3 diagonal choices
-    doc = {"kind": "galois", "p": 11, "n": 3, "d": 6, "generators": "full"}
-    with pytest.raises(ComputationError, match="order 1771561000 exceeds bound"):
+    p, n, d = pnd
+    doc = {"kind": "galois", "p": p, "n": n, "d": d, "generators": "full"}
+    with pytest.raises(ComputationError, match=message):
         run_scenario(doc)
 
 

@@ -302,12 +302,11 @@ def test_full_group_p3_n2_d4_by_module_arithmetic():
     assert derived_span(gens).order == 3 ** 8 == 6561
 
 
-def test_commutator_pairs_are_bounded_by_the_w_entries_they_touch():
-    monodromy.check_commutator_pairs(4472, 1)
-    monodromy.check_commutator_pairs(2236, 2)
-    for count, half in ((4473, 1), (2237, 2)):
-        with pytest.raises(ComputationError, match="too many for pairwise commutators"):
-            monodromy.check_commutator_pairs(count, half)
+def test_derived_span_refuses_too_many_generator_pairs():
+    # 4473^2 > 2 * 10^7 pairs, refused before any commutator is formed
+    gens = [BlockGaloisElement(4481, 1, 2, (1,), ((k,),)) for k in range(4473)]
+    with pytest.raises(ComputationError, match="too many generators for pairwise"):
+        derived_span(gens)
 
 
 def test_galois_scenarios_never_enumerate(monkeypatch):
