@@ -2,17 +2,22 @@
 weight filtrations.
 
 The algebra Cl(V) of a rational quadratic space (V, q) is presented on the
-2^(n+2) monomials e_S (S an ascending index subset), with multiplication by
-normal-ordering rewriting against the full Gram matrix:
+2^(n+2) monomials e_S = e_s1 ... e_sk (s1 < ... < sk) against the full Gram
+matrix:
 
     e_i e_j + e_j e_i = 2 B(e_i, e_j),    e_i^2 = q(e_i) = B(e_i, e_i).
 
-No orthogonalisation is forced anywhere: the interesting vectors here are
+A basis vector times a monomial has a closed form, Chevalley's identity
+v x = v ^ x + v _| x written out in this basis: moving e_i rightwards past
+each s_m < i contracts with 2 B(e_i, e_sm) at sign (-1)^(m-1), and then e_i
+either squares to q(e_i) or takes its slot, at sign (-1)^(number of s_m < i).
+A product e_S * x applies e_sk, ..., e_s1 to x in turn.  No
+orthogonalisation is forced anywhere: the interesting vectors here are
 isotropic.  Weight filtrations of degenerating weight-two structures are
 computed as exact left-ideal images:
 
 * type II (2-dim isotropic I = <e1, e2>):
-      W_-2 = im(e1 e2)  of dimension 2^n,
+      W_-2 = im(e1 e2) = e1 im(e2)  of dimension 2^n,
       W_-1 = im(e1) + im(e2),
       with the weight-one graded piece of dimension 2^(n+1);
 * type III (isotropic line <e1>):
@@ -81,7 +86,11 @@ class GramLattice:
         self.gram = gram
         self.dim = dim
         self.n = dim - 2
-        self._mul_cache = {}
+        # per i: (bit of j, bits below j, 2 B(e_i, e_j)) for j < i, B != 0
+        self._contractions = tuple(
+            tuple((1 << j, (1 << j) - 1, 2 * gram[i][j]) for j in range(i) if gram[i][j])
+            for i in range(dim)
+        )
 
     # -- standard shapes ---------------------------------------------------
 
@@ -155,44 +164,32 @@ class GramLattice:
         """All monomial bitmasks, in increasing order."""
         return range(1 << self.dim)
 
-    def _mul_basis(self, s, t):
-        """Normal-ordered product e_s * e_t of two monomial bitmasks as
-        {bitmask: coefficient}, all ``int`` over an integral Gram matrix."""
-        key = (s, t)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        result = {}
-        stack = [(1, list(_mask_to_tuple(s) + _mask_to_tuple(t)))]
-        while stack:
-            coeff, seq = stack.pop()
-            k = _first_violation(seq)
-            if k is None:
-                # seq is strictly ascending: its indices are distinct bits
-                mono = sum(1 << i for i in seq)
-                result[mono] = result.get(mono, 0) + coeff
-                continue
-            a, b = seq[k], seq[k + 1]
-            if a == b:
-                qa = self.gram[a][a]
-                if qa:
-                    stack.append((coeff * qa, seq[:k] + seq[k + 2 :]))
+    def _left_basis_mul(self, i, terms):
+        """e_i * x in closed form, for x given by its terms {bitmask: coeff};
+        all ``int`` over an integral Gram matrix."""
+        bit = 1 << i
+        below = bit - 1
+        q = self.gram[i][i]
+        contractions = self._contractions[i]
+        out = {}
+        for t, c in terms.items():
+            # e_i passes the indices of t below i, one sign flip each
+            signed = -c if (t & below).bit_count() & 1 else c
+            if t & bit:
+                if q:
+                    m = t ^ bit
+                    out[m] = out.get(m, 0) + q * signed
             else:
-                twob = 2 * self.gram[a][b]
-                if twob:
-                    stack.append((coeff * twob, seq[:k] + seq[k + 2 :]))
-                swapped = seq[:k] + [b, a] + seq[k + 2 :]
-                stack.append((-coeff, swapped))
-        result = {m: c for m, c in result.items() if c}
-        self._mul_cache[key] = result
-        return result
-
-
-def _first_violation(seq):
-    for k in range(len(seq) - 1):
-        if seq[k] >= seq[k + 1]:
-            return k
-    return None
+                m = t | bit
+                out[m] = out.get(m, 0) + signed
+            for jbit, jbelow, twob in contractions:
+                if t & jbit:
+                    m = t ^ jbit
+                    v = twob * c
+                    if (t & jbelow).bit_count() & 1:
+                        v = -v
+                    out[m] = out.get(m, 0) + v
+        return {m: c for m, c in out.items() if c}
 
 
 def _mask_to_tuple(mask):
@@ -258,12 +255,17 @@ class CliffordElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        left = self.lattice._left_basis_mul
         out = {}
         for ms, cs in self.terms.items():
-            for mt, ct in other.terms.items():
-                coeff = cs * ct
-                for mono, c in self.lattice._mul_basis(ms, mt).items():
-                    out[mono] = out.get(mono, 0) + coeff * c
+            # e_S x = e_s1 (e_s2 (... (e_sk x))): highest index first
+            prod = {mt: cs * ct for mt, ct in other.terms.items()}
+            while ms and prod:
+                i = ms.bit_length() - 1
+                prod = left(i, prod)
+                ms ^= 1 << i
+            for mono, c in prod.items():
+                out[mono] = out.get(mono, 0) + c
         return CliffordElement(self.lattice, out)
 
     __rmul__ = __mul__
@@ -346,11 +348,17 @@ def left_ideal_image(lattice, element):
     return RowSpace(1 << lattice.dim, rows)
 
 
+def _products(element, space):
+    """element * r for the primitive integer rows r of a ``RowSpace``, as
+    sparse rows; ``int`` over an integral Gram matrix."""
+    lattice = element.lattice
+    for r in space.integer_rows():
+        yield (element * CliffordElement(lattice, r)).terms
+
+
 def left_multiply(element, space):
     """The image element * space of a ``RowSpace`` of Cl(V)."""
-    lattice = element.lattice
-    rows = [(element * CliffordElement(lattice, r)).terms for r in space.basis_rows()]
-    return RowSpace(space.ambient, rows)
+    return RowSpace(space.ambient, _products(element, space))
 
 
 def _require_isotropic_vector(lattice, e, name):
@@ -389,8 +397,10 @@ def filtration_type2(lattice, e1, e2):
     if rank([{i: v for i, v in enumerate(c1) if v}, {i: v for i, v in enumerate(c2) if v}]) != 2:
         raise ComputationError("e1, e2 must be linearly independent")
     n = lattice.n
-    w2 = left_ideal_image(lattice, e1 * e2)
-    w1 = left_ideal_image(lattice, e1).add(left_ideal_image(lattice, e2))
+    im_e2 = left_ideal_image(lattice, e2)
+    # (e1 e2) Cl(V) = e1 (e2 Cl(V)) by associativity
+    w2 = left_multiply(e1, im_e2)
+    w1 = left_ideal_image(lattice, e1).add(im_e2)
     if w2.dim != 1 << n:
         raise ComputationError("dim W_-2 = %d, expected 2^n" % w2.dim)
     if w1.dim - w2.dim != 1 << (n + 1):
@@ -487,17 +497,14 @@ def graded_splitting(filtration, e3, e4):
             raise ComputationError("%s = %s, need %d" % (label, value, want))
     n = lattice.n
     h2 = filtration.w_minus2
-    h1 = (
-        left_ideal_image(lattice, e3)
-        .add(left_ideal_image(lattice, e4))
-        .intersect(filtration.w_minus1)
-    )
-    h0 = left_ideal_image(lattice, e3 * e4)
+    im_e4 = left_ideal_image(lattice, e4)
+    h1 = left_ideal_image(lattice, e3).add(im_e4).intersect(filtration.w_minus1)
+    # (e3 e4) Cl(V) = e3 (e4 Cl(V)) by associativity
+    h0 = left_multiply(e3, im_e4)
     dims = (h2.dim, h1.dim, h0.dim)
     if dims != (1 << n, 1 << (n + 1), 1 << n):
         raise ComputationError("splitting dims %s are off" % (dims,))
-    total = h2.add(h1).add(h0)
-    if total.dim != 1 << lattice.dim:
+    if rank(h2.integer_rows() + h1.integer_rows() + h0.integer_rows()) != 1 << lattice.dim:
         raise ComputationError("splitting pieces do not fill the algebra")
     # I_0 = the orthogonal complement of both hyperbolic planes
     constraints = []
@@ -578,10 +585,9 @@ def cocharacter_conjugation_check(splitting, v, parity_ok=None):
         )
     containments = []
     for i in (0, 1, 2):
-        source = splitting.piece(i)
         target = splitting.piece(i - shift)
-        image = left_multiply(v, source)
-        containments.append((i, target.contains(image)))
+        holds = all(target.contains_row(r) for r in _products(v, splitting.piece(i)))
+        containments.append((i, holds))
     if parity_ok is None:
         parity_ok = parity_preserved(splitting)
     return CocharacterCheck(
@@ -598,7 +604,7 @@ def parity_preserved(splitting):
     e_j) equate elements of even degree, so left multiplication by a vector
     raises parity by one.  The check is a certificate of exactly that on the
     generators: every product e_i * e_S of a basis vector with a monomial
-    holds only monomials of parity |S| + 1 (dim V * 2^dim V cached basis
+    holds only monomials of parity |S| + 1 (dim V * 2^dim V closed-form basis
     products).  By linearity every vector then flips parity, and by
     associativity every product a * b of two vectors, applied as a * (b * x),
     preserves it.  The products a * b of the splitting vectors are also
@@ -615,7 +621,7 @@ def parity_preserved(splitting):
     for i in range(lattice.dim):
         for mono in lattice.monomials():
             flipped = (mono.bit_count() + 1) % 2
-            for m in lattice._mul_basis(1 << i, mono):
+            for m in lattice._left_basis_mul(i, {mono: 1}):
                 if m.bit_count() % 2 != flipped:
                     return False
     return True

@@ -1,12 +1,14 @@
 """Exact linear algebra over Q on sparse rows.
 
 Rows are dicts {column: exact rational}: Python ``int`` or ``Fraction``
-entries, mixed freely.  Everything reduces to a canonical reduced row
-echelon basis, so subspaces compare by equality of their canonical rows.
-All arithmetic is exact; no pivot thresholds anywhere.  ``rref`` eliminates
-over the integers (each row scaled by the lcm of its denominators and kept
-primitive), so integral input never builds a ``Fraction`` until the final
-division by the pivots.
+entries, mixed freely.  A subspace is held fraction-free: its reduced row
+echelon basis with every row scaled to the primitive integer row (content 1)
+with a positive pivot.  That scaling is as canonical as pivots equal to 1,
+so subspaces compare by equality of their rows.  All arithmetic is exact; no
+pivot thresholds anywhere.  ``rref`` eliminates over the integers and
+returns those primitive rows, so integral input never builds a ``Fraction``;
+membership tests eliminate against them the same way.  Only
+``RowSpace.basis_rows`` and ``nullspace`` divide by the pivots.
 """
 
 from fractions import Fraction
@@ -25,30 +27,15 @@ def _subtract(r, factor, row):
             r.pop(cc, None)
 
 
-def _reduce_against(row, pivots):
-    """Reduce a sparse row against pivot rows (pivot col -> normalized row)
-    until its leading column is not a pivot; returns (row, that column)."""
-    r = dict(row)
-    while r:
-        c = min(r)
-        prow = pivots.get(c)
-        if prow is None:
-            return r, c
-        _subtract(r, r[c], prow)
-    return r, None
-
-
 def _primitive(row):
     """The nonzero integer multiple of a nonempty row with content 1 and a
     positive leading entry."""
-    if any(type(v) is not int for v in row.values()):
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry: clear denominators first
         den = lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
+        g = gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
     if g != 1:
@@ -70,24 +57,27 @@ def _eliminate(r, c, prow):
     _subtract(r, b, prow)
 
 
-def _normalize(row, p):
-    """Divide an integer row by its pivot p in place, keeping ints where p
-    divides."""
-    if p != 1:
-        for c in row:
-            q, m = divmod(row[c], p)
-            row[c] = Fraction(row[c], p) if m else q
+def _normalized(row, p):
+    """An integer row divided by its pivot p: an ``int`` where p divides the
+    entry and a ``Fraction`` otherwise."""
+    if p == 1:
+        return dict(row)
+    out = {}
+    for c, v in row.items():
+        q, m = divmod(v, p)
+        out[c] = Fraction(v, p) if m else q
+    return out
 
 
 def rref(rows):
-    """Canonical reduced echelon basis: dict pivot_col -> normalized row.
+    """Canonical fraction-free reduced echelon basis: dict pivot_col ->
+    primitive integer row with a positive pivot, zero on every other pivot
+    column.
 
     Fraction-free Gauss-Jordan, integer-preserving as in Bareiss: each row
     is scaled to a primitive integer row, and a column is cleared by the
     cross-multiplication r <- a*r - b*prow, with a and b the two entries
-    there divided by their gcd.  Pivot rows stay primitive, with positive
-    pivots.  Only the returned rows are divided by their pivot: an entry is
-    an ``int`` where the pivot divides it and a ``Fraction`` otherwise."""
+    there divided by their gcd."""
     pivots = {}
     for row in rows:
         r = {c: v for c, v in row.items() if v}
@@ -109,8 +99,6 @@ def rref(rows):
                 _eliminate(prow, c, r)
                 pivots[pc] = _primitive(prow)
         pivots[c] = r
-    for c, r in pivots.items():
-        _normalize(r, r[c])
     return pivots
 
 
@@ -119,44 +107,65 @@ def rank(rows):
 
 
 class RowSpace:
-    """An exact subspace of Q^ambient, held in canonical RREF form."""
+    """An exact subspace of Q^ambient, held as its ``rref``: pivot column ->
+    primitive integer row with a positive pivot."""
 
     __slots__ = ("ambient", "pivots")
 
-    def __init__(self, ambient, rows=(), _pivots=None):
+    def __init__(self, ambient, rows=()):
         self.ambient = ambient
-        self.pivots = rref(rows) if _pivots is None else _pivots
+        self.pivots = rref(rows)
 
     @property
     def dim(self):
         return len(self.pivots)
 
-    def basis_rows(self):
+    def integer_rows(self):
+        """The primitive integer basis rows, by ascending pivot column."""
         return [dict(self.pivots[c]) for c in sorted(self.pivots)]
 
+    def basis_rows(self):
+        """The reduced echelon basis rows divided by their pivots."""
+        return [_normalized(self.pivots[c], self.pivots[c][c]) for c in sorted(self.pivots)]
+
+    def _same_ambient(self, other):
+        if self.ambient != other.ambient:
+            raise ComputationError("ambient dimension mismatch")
+
     def contains_row(self, row):
-        residual, _ = _reduce_against(row, self.pivots)
-        return not residual
+        r = {c: v for c, v in row.items() if v}
+        if not r:
+            return True
+        lead = min(r)
+        if lead < 0 or max(r) >= self.ambient:
+            raise ComputationError("row has a column outside Q^%d" % self.ambient)
+        # every row of the space leads at a pivot column
+        if lead not in self.pivots:
+            return False
+        r = _primitive(r)
+        # pivot rows vanish on each other's pivot columns: one pass
+        for pc in [cc for cc in r if cc in self.pivots]:
+            _eliminate(r, pc, self.pivots[pc])
+        return not r
 
     def contains(self, other):
+        self._same_ambient(other)
         return all(self.contains_row(r) for r in other.pivots.values())
 
     def add(self, other):
-        if self.ambient != other.ambient:
-            raise ComputationError("ambient dimension mismatch")
-        return RowSpace(self.ambient, self.basis_rows() + other.basis_rows())
+        self._same_ambient(other)
+        return RowSpace(self.ambient, self.integer_rows() + other.integer_rows())
 
     def intersect(self, other):
         """Zassenhaus: rref of [[U, U], [W, 0]]; zero-left rows span the meet."""
-        if self.ambient != other.ambient:
-            raise ComputationError("ambient dimension mismatch")
+        self._same_ambient(other)
         n = self.ambient
         stacked = []
-        for r in self.basis_rows():
+        for r in self.pivots.values():
             row = dict(r)
             row.update({c + n: v for c, v in r.items()})
             stacked.append(row)
-        stacked.extend(dict(r) for r in other.basis_rows())
+        stacked.extend(other.integer_rows())
         reduced = rref(stacked)
         meet = []
         for c, row in reduced.items():
@@ -173,7 +182,7 @@ class RowSpace:
         return (
             isinstance(other, RowSpace)
             and self.ambient == other.ambient
-            and self.canonical() == other.canonical()
+            and self.pivots == other.pivots
         )
 
     def __hash__(self):
@@ -185,7 +194,7 @@ class RowSpace:
 
 def nullspace(rows, ambient):
     """Basis of {v : row . v = 0 for all rows}, rows sparse over ``ambient``."""
-    pivots = rref(rows)
+    pivots = {c: _normalized(r, r[c]) for c, r in rref(rows).items()}
     free = [c for c in range(ambient) if c not in pivots]
     basis = []
     for f in free:

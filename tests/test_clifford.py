@@ -16,6 +16,7 @@ from monodromy_lab.clifford import (
     left_multiply,
     parity_preserved,
 )
+from monodromy_lab.linalg import RowSpace
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +200,16 @@ def test_type3_rejects_nonisotropic():
 
 
 def test_w1_product_containment():
-    # e1 * (e2 * Cl(V)) is exactly im(e1 e2), by associativity
+    # e1 * (e2 * Cl(V)) is exactly im(e1 e2), by associativity, and so is
+    # e3 * (e4 * Cl(V)) = im(e3 e4): W_-2 and H_0 are built that way
     rebased, vecs = GramLattice(REBASED_N3["lattice"]), REBASED_N3["vectors"]
-    cases = [(L, *vectors(L, 0, 1)) for L in map(GramLattice.split, (2, 3, 4))]
-    cases.append((rebased, rebased.vector(vecs["e1"]), rebased.vector(vecs["e2"])))
-    for L, e1, e2 in cases:
-        moved = left_multiply(e1, left_ideal_image(L, e2))
-        assert moved == left_ideal_image(L, e1 * e2)
+    cases = [(L, *vectors(L, 0, 1, 2, 3)) for L in map(GramLattice.split, (2, 3, 4))]
+    cases.append((rebased, *(rebased.vector(vecs[k]) for k in ("e1", "e2", "e3", "e4"))))
+    for L, e1, e2, e3, e4 in cases:
+        for a, b in ((e1, e2), (e3, e4)):
+            moved = left_multiply(a, left_ideal_image(L, b))
+            assert moved == left_ideal_image(L, a * b)
+            assert moved.dim == 1 << L.n
 
 
 # -- graded splitting -----------------------------------------------------------------
@@ -367,17 +371,17 @@ def test_parity_certificate_agrees_with_enumeration(which):
 
 def test_parity_certificate_catches_a_wrong_parity_product(monkeypatch):
     L, s = _standard_splitting(2)
-    honest = L._mul_basis
+    honest = L._left_basis_mul
 
-    def corrupted(a, b):
-        out = honest(a, b)
-        if a.bit_count() == 1 and b == 0b110:
+    def corrupted(i, terms):
+        out = honest(i, terms)
+        if terms == {0b110: 1}:
             out = dict(out)
             out[0] = Fraction(1)  # e_i e_{23} must be odd
         return out
 
     assert cocharacter_conjugation_check(s, L.basis_vector(0)).parity_preserved
-    monkeypatch.setattr(L, "_mul_basis", corrupted)
+    monkeypatch.setattr(L, "_left_basis_mul", corrupted)
     chk = cocharacter_conjugation_check(s, L.basis_vector(0))
     assert chk.parity_preserved is False
     assert not chk.ok
@@ -396,7 +400,8 @@ def test_integral_gram_gives_int_coefficients(which):
         L = GramLattice(REBASED_N3["lattice"])
     for s in L.monomials():
         for t in L.monomials():
-            assert all(type(v) is int for v in L._mul_basis(s, t).values()), (s, t)
+            prod = CliffordElement(L, {s: 1}) * CliffordElement(L, {t: 1})
+            assert all(type(v) is int for v in prod.terms.values()), (s, t)
     if which == "rebased-n3":
         e1, e2 = (L.vector(REBASED_N3["vectors"][k]) for k in ("e1", "e2"))
     else:
@@ -453,3 +458,87 @@ def test_rational_gram_scenario_runs_ok():
     )
     assert report.ok
     assert report.result["splitting_dims"] == [8, 16, 8]
+
+
+def test_cocharacter_product_rows_are_int_over_an_integral_gram(monkeypatch):
+    # the check multiplies the primitive integer rows of each piece, so over
+    # an integral Gram matrix no product row holds a Fraction
+    s = _rebased_splitting()
+    seen = []
+    honest = RowSpace.contains_row
+
+    def recording(space, row):
+        if space.ambient == 1 << s.lattice.dim:  # not the weight-slot test
+            seen.append(row)
+        return honest(space, row)
+
+    monkeypatch.setattr(RowSpace, "contains_row", recording)
+    for v in (s.i_minus1[0], s.i_0_basis[0], s.i_1[0]):
+        assert cocharacter_conjugation_check(s, v, parity_ok=True).ok
+    assert len(seen) > 0 and any(seen)
+    assert all(type(c) is int for row in seen for c in row.values())
+    for piece in (s.h_minus2, s.h_minus1, s.h_0):
+        for row in piece.integer_rows():
+            assert all(type(c) is int for c in row.values())
+
+
+# -- the closed-form product against normal-ordering rewriting -------------------
+
+
+def _mask_indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _rewritten_product(lattice, s, t):
+    """Reference: e_s * e_t by normal-ordering rewriting, swapping the first
+    out-of-order pair e_a e_b into 2 B(e_a, e_b) - e_b e_a (or e_a e_a into
+    q(e_a)) until every word is strictly ascending."""
+    result = {}
+    stack = [(1, _mask_indices(s) + _mask_indices(t))]
+    while stack:
+        coeff, seq = stack.pop()
+        k = next((k for k in range(len(seq) - 1) if seq[k] >= seq[k + 1]), None)
+        if k is None:
+            mono = sum(1 << i for i in seq)
+            result[mono] = result.get(mono, 0) + coeff
+            continue
+        a, b = seq[k], seq[k + 1]
+        if a == b:
+            stack.append((coeff * lattice.gram[a][a], seq[:k] + seq[k + 2 :]))
+        else:
+            stack.append((coeff * 2 * lattice.gram[a][b], seq[:k] + seq[k + 2 :]))
+            stack.append((-coeff, seq[:k] + [b, a] + seq[k + 2 :]))
+    return {m: c for m, c in result.items() if c}
+
+
+def _lattice(which):
+    if which == "split3":
+        return GramLattice.split(3)
+    if which == "one-hyperbolic3":
+        return GramLattice.one_hyperbolic(3)
+    if which == "rebased-n3":
+        return GramLattice(REBASED_N3["lattice"])
+    return GramLattice(_half_tail_gram(3))
+
+
+LATTICES = ["split3", "one-hyperbolic3", "rebased-n3", "half-tail3"]
+
+
+@pytest.mark.parametrize("which", LATTICES)
+def test_closed_form_matches_rewriting_on_every_monomial_pair(which):
+    L = _lattice(which)
+    for s in L.monomials():
+        e_s = CliffordElement(L, {s: 1})
+        for t in L.monomials():
+            prod = e_s * CliffordElement(L, {t: 1})
+            assert prod.terms == _rewritten_product(L, s, t), (s, t)
+
+
+@pytest.mark.parametrize("which", LATTICES)
+def test_monomial_products_associate(which):
+    L = _lattice(which)
+    rng = random.Random(7)
+    monos = list(L.monomials())
+    for _ in range(300):
+        a, b, c = (CliffordElement(L, {rng.choice(monos): 1}) for _ in range(3))
+        assert a * (b * c) == (a * b) * c

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from monodromy_lab.linalg import RowSpace, _primitive, nullspace, rank, rref
+from monodromy_lab import ComputationError
+from monodromy_lab.linalg import RowSpace, _normalized, _primitive, nullspace, rank, rref
 
 
 def _random_rows(rng, count, ambient, density=0.5):
@@ -16,6 +18,11 @@ def _random_rows(rng, count, ambient, density=0.5):
         }
         rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+def _is_primitive(row):
+    """An integer row with content 1."""
+    return all(type(v) is int for v in row.values()) and gcd(*row.values()) == 1
 
 
 def _dot(row, vec):
@@ -35,8 +42,10 @@ def test_rref_is_reduced(seed):
     rng = random.Random(seed)
     pivots = rref(_random_rows(rng, 6, 8))
     for c, row in pivots.items():
-        assert min(row) == c and row[c] == 1
+        assert min(row) == c and row[c] > 0
+        assert _is_primitive(row)
         assert not any(pc in row for pc in pivots if pc != c)
+        assert _normalized(row, row[c])[c] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -131,7 +140,9 @@ def _oracle_rows(rng, kind, count=7, ambient=9):
 def test_rref_matches_fraction_oracle(seed, kind):
     rng = random.Random(1000 + seed)
     rows = _oracle_rows(rng, kind)
-    got = rref(rows)
+    pivots = rref(rows)
+    assert all(_is_primitive(r) and r[c] > 0 for c, r in pivots.items())
+    got = {c: _normalized(r, r[c]) for c, r in pivots.items()}
     want = _reference_rref(rows)
     assert sorted(got) == sorted(want)
     assert got == want
@@ -176,3 +187,62 @@ def test_int_and_fraction_spellings_agree(seed):
     assert meet == u_frac.intersect(w_frac) == u_int.intersect(w_frac)
     assert u_int.contains(meet) and w_frac.contains(meet)
     assert nullspace(u_rows, ambient) == nullspace(_as_fractions(u_rows), ambient)
+
+
+# -- RowSpace operations against the Fraction oracle -----------------------------
+
+
+def _reference_basis(rows):
+    ref = _reference_rref(rows)
+    return [ref[c] for c in sorted(ref)]
+
+
+def _reference_contains(rows, probe):
+    return len(_reference_rref(rows + [probe])) == len(_reference_rref(rows))
+
+
+def _reference_meet(u_rows, w_rows, n):
+    """Zassenhaus over the oracle: rref of [[U, U], [W, 0]]."""
+    stacked = [{**r, **{c + n: v for c, v in r.items()}} for r in u_rows] + w_rows
+    reduced = _reference_rref(stacked)
+    return _reference_basis(
+        [{cc - n: v for cc, v in row.items()} for c, row in reduced.items() if c >= n]
+    )
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rowspace_operations_match_fraction_oracle(seed, kind):
+    rng = random.Random(3000 + seed)
+    ambient = 9
+    u_rows = _oracle_rows(rng, kind, count=rng.randrange(2, 6), ambient=ambient)
+    w_rows = _oracle_rows(rng, kind, count=rng.randrange(2, 6), ambient=ambient)
+    u, w = RowSpace(ambient, u_rows), RowSpace(ambient, w_rows)
+    assert u.basis_rows() == _reference_basis(u_rows)
+    # equality: the same span from other generators, and a different span
+    respelled = [{c: 3 * v for c, v in r.items()} for r in reversed(u_rows)]
+    assert u == RowSpace(ambient, respelled + u_rows[:1])
+    assert (u == w) == (_reference_basis(u_rows) == _reference_basis(w_rows))
+    probes = _oracle_rows(rng, kind, count=4, ambient=ambient) + w_rows + u_rows
+    for probe in probes:
+        assert u.contains_row(probe) == _reference_contains(u_rows, probe)
+    total = u.add(w)
+    assert total.basis_rows() == _reference_basis(u_rows + w_rows)
+    assert total.contains(u) and total.contains(w)
+    meet = u.intersect(w)
+    assert meet.basis_rows() == _reference_meet(u_rows, w_rows, ambient)
+    assert meet == w.intersect(u)
+    assert u.contains(meet) and w.contains(meet)
+
+
+def test_containment_across_ambients_is_refused():
+    u = RowSpace(3, [{0: 1, 2: 1}])
+    with pytest.raises(ComputationError):
+        u.contains(RowSpace(4, [{0: 1}]))
+    with pytest.raises(ComputationError):
+        RowSpace(4, [{0: 1, 2: 1}]).contains(u)
+    for row in ({3: 1}, {0: 1, 5: Fraction(1, 2)}, {-1: 2}):
+        with pytest.raises(ComputationError):
+            u.contains_row(row)
+    assert u.contains_row({0: 2, 2: 2}) and not u.contains_row({1: 1})
+    assert u.contains(RowSpace(3))
